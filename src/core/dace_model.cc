@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <tuple>
@@ -504,40 +503,8 @@ void DaceModel::PredictPackedInto(
   roots->resize(feats.size());
   if (feats.empty()) return;
   ws->layout.Clear();
-  ws->masks.clear();
-  for (const PlanFeatures* f : feats) {
-    ws->layout.Add(f->node_features.rows());
-    ws->masks.push_back(&f->attention_mask);
-  }
-  // kI8 selects the student-tier kernels; the teacher has no int8 image, so
-  // it serves its fastest path (the folded f32 weights) under kI8 too.
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    ForwardPackedF32(feats, ws, roots);
-  } else {
-    ForwardPackedF64(feats, ws, roots);
-  }
-}
-
-void DaceModel::ForwardPackedF64(std::span<const PlanFeatures* const> feats,
-                                 PackedWorkspace* ws,
-                                 std::vector<double>* roots) const {
-  const nn::PackLayout& layout = ws->layout;
-  const size_t rows = layout.total_rows;
-  const size_t dm = static_cast<size_t>(config_.d_model);
-  if (ws->s.rows() != rows || ws->s.cols() != dm) ws->s = Matrix(rows, dm);
-  for (size_t b = 0; b < feats.size(); ++b) {
-    const Matrix& nf = feats[b]->node_features;
-    std::memcpy(ws->s.RowPtr(layout.offset[b]), nf.data(),
-                nf.size() * sizeof(double));
-  }
-  attention_.ForwardPackedCached(ws->s, layout, ws->masks.data(), &ws->attn_c,
-                                 &ws->attn);
-  fc1_.ForwardPackedCached(ws->attn, &ws->fc1_c, &ws->z1, &ws->h1);
-  fc2_.ForwardPackedCached(ws->h1, &ws->fc2_c, &ws->z2, &ws->h2);
-  fc3_.ForwardPackedCached(ws->h2, &ws->fc3_c, &ws->pred, nullptr);
-  for (size_t b = 0; b < feats.size(); ++b) {
-    (*roots)[b] = ws->pred(layout.offset[b], 0);
-  }
+  for (const PlanFeatures* f : feats) ws->layout.Add(f->node_features.rows());
+  ForwardPackedF32(feats, ws, roots);
 }
 
 void DaceModel::EnsureF32Weights() const {
@@ -597,9 +564,9 @@ void DaceModel::ForwardPackedF32(std::span<const PlanFeatures* const> feats,
   // Q, scores, softmax and context for the root row only, then a
   // (count × ·) MLP instead of a (total_rows × ·) one. K and V are the only
   // full-pack tensors — every packed row is a softmax candidate for its
-  // block's root. (The f64 path prices all rows to stay bit-identical to
-  // PredictAllInto; this path's contract is the DESIGN §13 error budget, not
-  // bit-identity, so it is free to skip rows nobody reads.)
+  // block's root. (The f64 reference PredictAllInto prices every row; this
+  // path's contract is the DESIGN §13 error budget, not bit-identity, so it
+  // is free to skip rows nobody reads.)
 
   // Packed feature tile, narrowed from the featurizer's doubles (linear in
   // the input; a rounding error far below the kernel error budget).
@@ -695,148 +662,6 @@ void DaceModel::ForwardPackedF32(std::span<const PlanFeatures* const> feats,
   }
 }
 
-void DaceModel::PredictPackedAllInto(
-    std::span<const PlanFeatures* const> feats, PackedWorkspace* ws,
-    std::vector<std::vector<double>>* rows) const {
-  rows->resize(feats.size());
-  if (feats.empty()) return;
-  ws->layout.Clear();
-  ws->masks.clear();
-  for (const PlanFeatures* f : feats) {
-    ws->layout.Add(f->node_features.rows());
-    ws->masks.push_back(&f->attention_mask);
-  }
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    ForwardPackedAllF32(feats, ws, rows);
-    return;
-  }
-  // The packed f64 body already prices EVERY row (that is what keeps it
-  // bit-identical to PredictAllInto) — all-rows extraction is free.
-  ws->roots_scratch.resize(feats.size());
-  ForwardPackedF64(feats, ws, &ws->roots_scratch);
-  for (size_t b = 0; b < feats.size(); ++b) {
-    const size_t off = ws->layout.offset[b];
-    const size_t nb = ws->layout.n[b];
-    std::vector<double>& r = (*rows)[b];
-    r.resize(nb);
-    for (size_t j = 0; j < nb; ++j) r[j] = ws->pred(off + j, 0);
-  }
-}
-
-void DaceModel::ForwardPackedAllF32(
-    std::span<const PlanFeatures* const> feats, PackedWorkspace* ws,
-    std::vector<std::vector<double>>* rows) const {
-  DACE_CHECK_EQ(f32_.version, weights_version_)
-      << "f32 packed inference with stale folded weights: EnsureF32Weights "
-         "must run after every weight mutation";
-  const nn::kernel::TableF32& t = nn::kernel::ActiveF32();
-  const nn::PackLayout& layout = ws->layout;
-  const size_t count = feats.size();
-  const size_t nrows = layout.total_rows;
-  const size_t maxn = layout.max_nodes;
-  const size_t dm = static_cast<size_t>(config_.d_model);
-  const size_t dk = static_cast<size_t>(config_.d_k);
-  const size_t dv = static_cast<size_t>(config_.d_v);
-  const size_t n1 = static_cast<size_t>(config_.hidden1);
-  const size_t n2 = static_cast<size_t>(config_.hidden2);
-
-  // All-rows twin of ForwardPackedF32: every packed row is both a softmax
-  // candidate AND a softmax query, so Q/scores/softmax/context/MLP all run
-  // at total_rows height instead of one row per plan.
-  ws->s32.resize(nrows * dm);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    const double* src = feats[b]->node_features.data();
-    float* dst = ws->s32.data() + off * dm;
-    for (size_t i = 0; i < nb * dm; ++i) dst[i] = static_cast<float>(src[i]);
-  }
-  // Full additive masks, each block's rows column-padded to maxn.
-  ws->mask32.resize(nrows * maxn);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    for (size_t i = 0; i < nb; ++i) {
-      const double* mrow = feats[b]->attention_mask.RowPtr(i);
-      float* mdst = ws->mask32.data() + (off + i) * maxn;
-      for (size_t j = 0; j < nb; ++j) mdst[j] = static_cast<float>(mrow[j]);
-    }
-  }
-
-  ws->q32.assign(nrows * dk, 0.0f);
-  ws->k32.assign(nrows * dk, 0.0f);
-  ws->v32.assign(nrows * dv, 0.0f);
-  t.mm_panel(ws->s32.data(), dm, f32_.wq.data(), dk, ws->q32.data(), dk,
-             nrows, 0, dm, 0, dk);
-  t.mm_panel(ws->s32.data(), dm, f32_.wk.data(), dk, ws->k32.data(), dk,
-             nrows, 0, dm, 0, dk);
-  t.mm_panel(ws->s32.data(), dm, f32_.wv.data(), dv, ws->v32.data(), dv,
-             nrows, 0, dm, 0, dv);
-
-  const float neg_inf = static_cast<float>(nn::kMaskNegInf);
-  ws->scores32.resize(nrows * maxn);
-  ws->probs32.resize(nrows * maxn);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    for (size_t i = 0; i < nb; ++i) {
-      float* srow = ws->scores32.data() + (off + i) * maxn;
-      const float* qrow = ws->q32.data() + (off + i) * dk;
-      for (size_t j = 0; j < nb; ++j) {
-        srow[j] = t.dot(dk, qrow, ws->k32.data() + (off + j) * dk);
-      }
-      t.scale(nb, f32_.inv_sqrt_dk, srow);
-      const float* mrow = ws->mask32.data() + (off + i) * maxn;
-      float* prow = ws->probs32.data() + (off + i) * maxn;
-      const float max_val = t.masked_max(nb, srow, mrow, neg_inf);
-      DACE_CHECK_GT(max_val, neg_inf)
-          << "packed softmax row " << i << " of block " << b
-          << " fully masked";
-      const float denom =
-          t.masked_exp(nb, srow, mrow, max_val, neg_inf, prow);
-      t.div(nb, denom, prow);
-    }
-  }
-
-  // Per-block context: probs_block (nb × maxn-strided) · V_block (nb × dv).
-  ws->attn32.assign(nrows * dv, 0.0f);
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    t.mm_panel(ws->probs32.data() + off * maxn, maxn,
-               ws->v32.data() + off * dv, dv, ws->attn32.data() + off * dv,
-               dv, nb, 0, nb, 0, dv);
-  }
-
-  // MLP over every packed row.
-  ws->z132.resize(nrows * n1);
-  for (size_t i = 0; i < nrows; ++i) {
-    std::memcpy(ws->z132.data() + i * n1, f32_.b1.data(), n1 * sizeof(float));
-  }
-  t.gemm(ws->attn32.data(), dv, f32_.w1.data(), n1, ws->z132.data(), n1,
-         nrows, dv, n1);
-  t.relu(nrows * n1, ws->z132.data(), ws->z132.data());
-  ws->z232.resize(nrows * n2);
-  for (size_t i = 0; i < nrows; ++i) {
-    std::memcpy(ws->z232.data() + i * n2, f32_.b2.data(), n2 * sizeof(float));
-  }
-  t.gemm(ws->z132.data(), n1, f32_.w2.data(), n2, ws->z232.data(), n2, nrows,
-         n1, n2);
-  t.relu(nrows * n2, ws->z232.data(), ws->z232.data());
-
-  const float b3 = f32_.b3[0];
-  for (size_t b = 0; b < count; ++b) {
-    const size_t off = layout.offset[b];
-    const size_t nb = layout.n[b];
-    std::vector<double>& r = (*rows)[b];
-    r.resize(nb);
-    for (size_t j = 0; j < nb; ++j) {
-      const float* hrow = ws->z232.data() + (off + j) * n2;
-      r[j] = static_cast<double>(b3 + t.dot(n2, hrow, f32_.w3.data()));
-    }
-  }
-}
-
 std::vector<double> DaceModel::EncodeRoot(const PlanFeatures& f) const {
   Matrix attn, z1, h1, z2, h2;
   attention_.ForwardInference(f.node_features, f.attention_mask, &attn);
@@ -868,20 +693,6 @@ void DaceModel::Serialize(ByteWriter* w) const {
   fc1_.Serialize(w);
   fc2_.Serialize(w);
   fc3_.Serialize(w);
-}
-
-Status DaceModel::Deserialize(ByteReader* r) {
-  StagedWeights staged;
-  DACE_RETURN_IF_ERROR(staged.attention.Deserialize(r));
-  DACE_RETURN_IF_ERROR(staged.fc1.Deserialize(r));
-  DACE_RETURN_IF_ERROR(staged.fc2.Deserialize(r));
-  DACE_RETURN_IF_ERROR(staged.fc3.Deserialize(r));
-  if (r->remaining() != 0) {
-    return Status::DataLoss("trailing garbage after the model weights");
-  }
-  DACE_RETURN_IF_ERROR(ValidateStaged(staged));
-  CommitStaged(std::move(staged));
-  return Status::OK();
 }
 
 void DaceModel::AppendSections(CheckpointWriter* w) const {
@@ -1058,34 +869,6 @@ void DaceEstimator::set_thread_pool(ThreadPool* pool) {
   // Worker scratch is re-sized for the new pool on the next batch call.
   batch_scratch_.clear();
   pack_scratch_.clear();
-}
-
-DaceEstimator::PackedMode DaceEstimator::DefaultPackedMode() {
-  static const PackedMode mode = [] {
-    const char* env = std::getenv("DACE_PACKED");
-    if (env == nullptr || env[0] == '\0') return PackedMode::kAuto;
-    if (std::strcmp(env, "auto") == 0) return PackedMode::kAuto;
-    if (std::strcmp(env, "on") == 0) return PackedMode::kOn;
-    if (std::strcmp(env, "off") == 0) return PackedMode::kOff;
-    DACE_CHECK(false) << "unknown DACE_PACKED value '" << env
-                      << "' (expected 'auto', 'on' or 'off')";
-    return PackedMode::kAuto;
-  }();
-  return mode;
-}
-
-DaceEstimator::TierMode DaceEstimator::DefaultTierMode() {
-  static const TierMode mode = [] {
-    const char* env = std::getenv("DACE_TIER");
-    if (env == nullptr || env[0] == '\0') return TierMode::kAuto;
-    if (std::strcmp(env, "auto") == 0) return TierMode::kAuto;
-    if (std::strcmp(env, "teacher") == 0) return TierMode::kTeacherOnly;
-    if (std::strcmp(env, "student") == 0) return TierMode::kStudentOnly;
-    DACE_CHECK(false) << "unknown DACE_TIER value '" << env
-                      << "' (expected 'auto', 'teacher' or 'student')";
-    return TierMode::kAuto;
-  }();
-  return mode;
 }
 
 std::vector<featurize::PlanFeatures> DaceEstimator::FeaturizeAll(
@@ -1319,9 +1102,13 @@ void DaceEstimator::PredictBatchMsInto(
     }
     if (!to_teacher->empty()) {
       const uint64_t tier_t0_us = LatencyNowUs();
+      // Packing is a property of single precision: kF64 always prices per
+      // plan through the bit-exact reference; kF32/kI8 pack multi-miss
+      // batches (kI8 is a student-tier precision — the teacher serves its
+      // folded f32 image there).
       const bool use_packed =
-          packed_mode_ == PackedMode::kOn ||
-          (packed_mode_ == PackedMode::kAuto && to_teacher->size() >= 2);
+          nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64 &&
+          packed_mode_ == PackedMode::kAuto && to_teacher->size() >= 2;
       if (use_packed) {
         PredictPackedBatch(plans, *to_teacher, cs.fps, version, fc, out);
       } else {
@@ -1374,11 +1161,8 @@ void DaceEstimator::PredictPackedBatch(
   if (pack_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
     pack_scratch_.resize(static_cast<size_t>(pool->num_threads()));
   }
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    // Fold once on the coordinator; the packs only read the image. (kI8 is
-    // a student-tier precision — the teacher serves its f32 image there.)
-    model_.EnsureF32Weights();
-  }
+  // Fold once on the coordinator; the packs only read the image.
+  model_.EnsureF32Weights();
   // Sort misses by descending node count so each pack holds similarly sized
   // plans: the score tiles are column-padded to the pack's max_nodes, so
   // mixing one deep plan with many shallow ones is what craters occupancy.
@@ -1491,94 +1275,6 @@ std::vector<double> DaceEstimator::PredictSubPlansMs(
   return scaled;
 }
 
-std::vector<std::vector<double>> DaceEstimator::PredictSubPlansBatchMs(
-    std::span<const plan::QueryPlan* const> plans) const {
-  std::vector<std::vector<double>> out(plans.size());
-  if (plans.empty()) return out;
-  DACE_CHECK(featurizer_.fitted())
-      << "DaceEstimator::PredictSubPlansBatchMs called before the estimator "
-         "was trained: call Train() or LoadFromFile() first";
-  ThreadPool* pool = model_.thread_pool();
-  const featurize::FeaturizerConfig fc = FeatConfig();
-  const bool use_packed =
-      packed_mode_ == PackedMode::kOn ||
-      (packed_mode_ == PackedMode::kAuto && plans.size() >= 2);
-  if (!use_packed) {
-    if (batch_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
-      batch_scratch_.resize(static_cast<size_t>(pool->num_threads()));
-    }
-    pool->ParallelForWorker(0, plans.size(), [&](int slot, size_t i) {
-      BatchScratch& s = batch_scratch_[static_cast<size_t>(slot)];
-      featurizer_.FeaturizeInto(*plans[i], fc, &s.feats, &s.fscratch);
-      model_.PredictAllInto(s.feats, &s.ws, &s.preds);
-      std::vector<double>& r = out[i];
-      r.resize(s.preds.size());
-      for (size_t j = 0; j < s.preds.size(); ++j) {
-        r[j] = featurizer_.InverseTransformTime(s.preds[j]);
-      }
-      const size_t n = plans[i]->size();
-      s.used_nodes = std::max(s.used_nodes, n);
-      s.alloc_nodes = std::max(s.alloc_nodes, n);
-    });
-    GovernScratch();
-    return out;
-  }
-  if (pack_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
-    pack_scratch_.resize(static_cast<size_t>(pool->num_threads()));
-  }
-  if (nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64) {
-    model_.EnsureF32Weights();
-  }
-  // Same size-sorted packing as the root-only path (PredictPackedBatch).
-  std::vector<size_t>& order = call_scratch_.order;
-  order.resize(plans.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const size_t na = plans[a]->size();
-    const size_t nb = plans[b]->size();
-    if (na != nb) return na > nb;
-    return a < b;
-  });
-  const size_t num_packs = (order.size() + kPackMaxPlans - 1) / kPackMaxPlans;
-  pool->ParallelForWorker(0, num_packs, [&](int slot, size_t p) {
-    DACE_TRACE_SPAN("predict.pack");
-    PackScratch& s = pack_scratch_[static_cast<size_t>(slot)];
-    const size_t lo = p * kPackMaxPlans;
-    const size_t hi = std::min(lo + kPackMaxPlans, order.size());
-    const size_t count = hi - lo;
-    if (s.feats.size() < count) s.feats.resize(count);
-    s.feat_ptrs.clear();
-    for (size_t j = 0; j < count; ++j) {
-      featurizer_.FeaturizeInto(*plans[order[lo + j]], fc, &s.feats[j],
-                                &s.fscratch);
-      s.feat_ptrs.push_back(&s.feats[j]);
-    }
-    model_.PredictPackedAllInto(s.feat_ptrs, &s.ws, &s.rows);
-    for (size_t j = 0; j < count; ++j) {
-      const size_t idx = order[lo + j];
-      std::vector<double>& r = out[idx];
-      r.resize(s.rows[j].size());
-      for (size_t v = 0; v < s.rows[j].size(); ++v) {
-        r[v] = featurizer_.InverseTransformTime(s.rows[j][v]);
-      }
-    }
-    const nn::PackLayout& layout = s.ws.layout;
-    s.used_nodes = std::max(s.used_nodes, layout.max_nodes);
-    s.alloc_nodes = std::max(s.alloc_nodes, layout.max_nodes);
-    PackPacksCounter()->Add(1);
-    PackPlansCounter()->Add(count);
-    PackRowsValidCounter()->Add(layout.total_rows);
-    const size_t cells = count * layout.max_nodes;
-    PackRowsPaddedCounter()->Add(cells - layout.total_rows);
-    PackOccupancyHistogram()->Observe(
-        cells > 0 ? static_cast<double>(layout.total_rows) /
-                        static_cast<double>(cells)
-                  : 1.0);
-  });
-  GovernScratch();
-  return out;
-}
-
 std::vector<double> DaceEstimator::Encode(const plan::QueryPlan& plan) const {
   DACE_CHECK(featurizer_.fitted())
       << "DaceEstimator::Encode called before the estimator was trained: "
@@ -1612,27 +1308,18 @@ Status DaceEstimator::LoadFromFile(const std::string& path) {
 
 Status DaceEstimator::LoadFromString(std::string_view blob) {
   featurize::Featurizer staged_featurizer;
-  if (HasCheckpointMagic(blob)) {
-    CheckpointReader reader;
-    DACE_RETURN_IF_ERROR(reader.Init(blob));  // magic/version/endian/checksum
-    DACE_RETURN_IF_ERROR(reader.MatchesConfig(config_));
-    ByteReader section;
-    DACE_RETURN_IF_ERROR(reader.EnterSection(kSectionFeaturizer, &section));
-    DACE_RETURN_IF_ERROR(staged_featurizer.Deserialize(&section));
-    if (section.remaining() != 0) {
-      return Status::DataLoss("featurizer section has trailing bytes");
-    }
-    // Commits the model weights only if every remaining section parses,
-    // validates against config_ and exhausts the file.
-    DACE_RETURN_IF_ERROR(model_.LoadSections(&reader));
-  } else {
-    // Legacy format 0: headerless featurizer + model stream. There is no
-    // checksum to verify, but the same staging discipline applies — a
-    // truncated legacy file cannot leave a half-old/half-new model.
-    ByteReader reader(blob.data(), blob.size());
-    DACE_RETURN_IF_ERROR(staged_featurizer.Deserialize(&reader));
-    DACE_RETURN_IF_ERROR(model_.Deserialize(&reader));
+  CheckpointReader reader;
+  DACE_RETURN_IF_ERROR(reader.Init(blob));  // magic/version/endian/checksum
+  DACE_RETURN_IF_ERROR(reader.MatchesConfig(config_));
+  ByteReader section;
+  DACE_RETURN_IF_ERROR(reader.EnterSection(kSectionFeaturizer, &section));
+  DACE_RETURN_IF_ERROR(staged_featurizer.Deserialize(&section));
+  if (section.remaining() != 0) {
+    return Status::DataLoss("featurizer section has trailing bytes");
   }
+  // Commits the model weights only if every remaining section parses,
+  // validates against config_ and exhausts the file.
+  DACE_RETURN_IF_ERROR(model_.LoadSections(&reader));
   // Past this point nothing can fail: the model already committed (bumping
   // weights_version_, which invalidates the prediction cache), so the
   // featurizer must commit too.

@@ -163,46 +163,26 @@ class DaceModel {
                       std::vector<double>* out) const;
 
   // Per-worker state for the packed multi-plan inference path: the pack
-  // layout, the f64 packed activation tiles, and (when the f32 precision is
-  // active) the float twins. Reused across packs; buffers reallocate only
-  // when the pack shape grows past what the workspace has seen.
+  // layout and the f32 packed activation tiles. Reused across packs; buffers
+  // reallocate only when the pack shape grows past what the workspace has
+  // seen.
   struct PackedWorkspace {
     using FloatBuffer = std::vector<float, nn::AlignedAllocator<float>>;
     nn::PackLayout layout;
-    std::vector<const nn::Matrix*> masks;
-    // f64 path.
-    nn::TreeAttention::PackedCache attn_c;
-    nn::Linear::ExternalCache fc1_c, fc2_c, fc3_c;
-    nn::Matrix s, attn, z1, h1, z2, h2, pred;
-    // f32 path (sized lazily; empty unless f32 inference ran).
     FloatBuffer s32, mask32, q32, k32, v32, scores32, probs32, attn32, z132,
         z232;
-    // All-rows extension: root sink for PredictPackedAllInto's f64 body
-    // (the f32 all-rows head writes straight into the caller's rows).
-    std::vector<double> roots_scratch;
   };
 
-  // Packed batched inference (tentpole): prices every plan of `feats` in ONE
-  // forward pass over a tightly packed tile set, writing each plan's root
-  // scaled-log-time into (*roots)[b]. Dispatches on kernel::ActivePrecision:
-  //   - kF64 runs the packed tile schedule through the same kernels as
-  //     PredictAllInto, bit-identical per plan to the per-plan path;
-  //   - kF32 runs the folded single-precision weight image (EnsureF32Weights
-  //     must have been called since the last weight mutation) through the
-  //     f32 kernel table, within the documented q-error budget (DESIGN §13).
-  // Const on the weights — concurrent callers bring their own workspace.
+  // Packed batched inference: prices every plan of `feats` in ONE forward
+  // pass over a tightly packed tile set, writing each plan's root
+  // scaled-log-time into (*roots)[b]. Packing is a property of single
+  // precision: this runs the folded f32 weight image (EnsureF32Weights must
+  // have been called since the last weight mutation) through the f32 kernel
+  // table, within the documented q-error budget of the f64 per-plan
+  // reference PredictAllInto (DESIGN §13). Const on the weights — concurrent
+  // callers bring their own workspace.
   void PredictPackedInto(std::span<const featurize::PlanFeatures* const> feats,
                          PackedWorkspace* ws, std::vector<double>* roots) const;
-
-  // All-rows packed inference: like PredictPackedInto, but (*rows)[b] gets
-  // every DFS row's scaled-log-time for plan b (sub-plan predictions, index
-  // 0 = root). At kF64 this is free — the packed f64 body already prices
-  // every row — and bit-identical per row to PredictAllInto; the f32 path
-  // runs an all-rows variant of the packed float schedule under the same
-  // accuracy budget as the root-only path.
-  void PredictPackedAllInto(
-      std::span<const featurize::PlanFeatures* const> feats,
-      PackedWorkspace* ws, std::vector<std::vector<double>>* rows) const;
 
   // Rebuilds the cached single-precision inference weights (LoRA adapters
   // folded into the base matrices, everything narrowed to float) if they are
@@ -228,30 +208,26 @@ class DaceModel {
   void set_lineage(std::string lineage) { lineage_ = std::move(lineage); }
 
   // Monotone counter identifying the current weights: bumped by every
-  // mutation of the parameters (Train, FineTuneLora, Deserialize). Cached
+  // mutation of the parameters (Train, FineTuneLora, LoadSections). Cached
   // predictions are valid exactly as long as this value is unchanged — the
   // prediction cache stores the version it was filled under and flushes on
   // mismatch.
   uint64_t weights_version() const { return weights_version_; }
 
-  // Legacy (checkpoint format 0) body layout: attention, fc1, fc2, fc3
-  // concatenated with no framing. Still the canonical flat weight image —
-  // the determinism tests compare these bytes directly.
+  // The canonical flat weight image: attention, fc1, fc2, fc3 concatenated
+  // with no framing (the payload bytes the checkpoint sections carry). The
+  // determinism tests compare these bytes directly.
   void Serialize(ByteWriter* w) const;
 
-  // Transactional load of the legacy body: every layer is parsed into
-  // staging, every shape is validated against this model's config (including
-  // LoRA rank consistency), and the reader must be fully consumed — only
-  // then are the weights swapped in and weights_version_ bumped. On any
-  // failure the live weights, LoRA state and version are untouched, so
-  // cached predictions stay exactly as valid as they were.
-  Status Deserialize(ByteReader* r);
-
-  // Checkpoint-format-1 variants: the same payload bytes, one framed section
-  // per component (plus, when the model is distilled, a trailing student
-  // section). LoadSections has the same transactional contract as
-  // Deserialize and additionally requires the checkpoint's section table to
-  // end exactly after fc3 — or after the optional student section.
+  // Checkpoint sections: the Serialize payload bytes, one framed section per
+  // component (plus, when the model is distilled, a trailing student
+  // section). LoadSections is transactional: every layer is parsed into
+  // staging, every shape is validated against this model's config
+  // (including LoRA rank consistency), and the section table must end
+  // exactly after fc3 — or after the optional trailing sections. Only then
+  // are the weights swapped in and weights_version_ bumped; on any failure
+  // the live weights, LoRA state and version are untouched, so cached
+  // predictions stay exactly as valid as they were.
   void AppendSections(CheckpointWriter* w) const;
   Status LoadSections(CheckpointReader* r);
 
@@ -281,19 +257,10 @@ class DaceModel {
     float inv_sqrt_dk = 1.0f;
   };
 
-  // f64 / f32 bodies behind PredictPackedInto, after the layout and the
-  // packed feature tiles are assembled.
-  void ForwardPackedF64(
-      std::span<const featurize::PlanFeatures* const> feats,
-      PackedWorkspace* ws, std::vector<double>* roots) const;
+  // f32 body behind PredictPackedInto, after the layout is assembled.
   void ForwardPackedF32(
       std::span<const featurize::PlanFeatures* const> feats,
       PackedWorkspace* ws, std::vector<double>* roots) const;
-  // All-rows twin of ForwardPackedF32: Q/scores/softmax/context run for
-  // every packed row instead of one row per plan.
-  void ForwardPackedAllF32(
-      std::span<const featurize::PlanFeatures* const> feats,
-      PackedWorkspace* ws, std::vector<std::vector<double>>* rows) const;
 
   // Fully-parsed weights awaiting validation; nothing in the live model
   // changes until CommitStaged.
@@ -356,9 +323,10 @@ class DaceEstimator : public CostEstimator {
   // Batched inference hot path: featurization + forward fan out across the
   // thread pool, and each worker reuses its scratch (featurization buffers
   // and forward matrices) so the per-plan forward allocates nothing after
-  // warm-up. Results are bit-identical to per-plan PredictMs for any pool
-  // size. Not safe to call concurrently on one estimator (the scratch is
-  // shared); use separate estimators or external serialization.
+  // warm-up. At the default f64 precision results are bit-identical to
+  // per-plan PredictMs for any pool size. Not safe to call concurrently on
+  // one estimator (the scratch is shared); use separate estimators or
+  // external serialization.
   std::vector<double> PredictBatchMs(
       std::span<const plan::QueryPlan> plans) const override;
 
@@ -366,16 +334,16 @@ class DaceEstimator : public CostEstimator {
   // plans of one coalesced micro-batch live on different callers' stacks, so
   // the batch is described by pointers instead of a contiguous array. Same
   // math, same cache, same determinism guarantees as the span-of-values
-  // overload (which delegates here); results are bit-identical to per-plan
-  // PredictMs. Pointers must stay valid for the duration of the call.
+  // overload (which delegates here). Pointers must stay valid for the
+  // duration of the call.
   //
-  // Cache misses are priced through the packed multi-plan path by default
-  // (see PackedMode): misses are sorted by node count, packed into tile sets
-  // of up to 64 plans, and each pack runs ONE forward pass. At the default
-  // f64 precision the packed results are bit-identical to the per-plan path,
-  // so this is purely a throughput change; DACE_PRECISION=f32 additionally
-  // switches the packs to the single-precision kernel table (documented
-  // accuracy budget, no bit-identity).
+  // One inference path per precision. At kF64 every cache miss is priced
+  // per plan through PredictAllInto, the bit-exact reference, so results are
+  // bit-identical to PredictMs. At kF32/kI8 (DACE_PRECISION=f32|i8) a batch
+  // with two or more teacher misses runs the packed f32 path (see
+  // PackedMode): misses are sorted by node count, packed into tile sets of
+  // up to 64 plans, and each pack runs ONE forward pass within the DESIGN
+  // §13 q-error budget of the f64 reference.
   std::vector<double> PredictBatchMs(
       std::span<const plan::QueryPlan* const> plans) const;
 
@@ -397,32 +365,19 @@ class DaceEstimator : public CostEstimator {
   //   kTeacherOnly     — ignore the student (reference behaviour; benches
   //                      that measure the teacher pin this).
   //   kStudentOnly     — never escalate (gate forced open; tests/benches).
-  // Process default is kAuto, overridable by DACE_TIER=auto|teacher|student
-  // (resolved once); this setter overrides per estimator. PredictMs (the
-  // single-plan path) is always teacher-only: tier routing is a property of
-  // the batched serving path.
+  // Every estimator starts at kAuto; this setter overrides per estimator.
+  // PredictMs (the single-plan path) is always teacher-only: tier routing is
+  // a property of the batched serving path.
   enum class TierMode { kAuto = 0, kTeacherOnly = 1, kStudentOnly = 2 };
-  static TierMode DefaultTierMode();
   void set_tier_mode(TierMode mode) { tier_mode_ = mode; }
   TierMode tier_mode() const { return tier_mode_; }
 
-  // Batched all-sub-plan predictions (ms, DFS order per plan) through the
-  // packed multi-plan path — the batched twin of PredictSubPlansMs. Teacher
-  // only (sub-plan rows are a training/analysis surface, not the microsecond
-  // serving tier) and uncached (the prediction cache stores root costs).
-  // At f64 each row is bit-identical to PredictSubPlansMs.
-  std::vector<std::vector<double>> PredictSubPlansBatchMs(
-      std::span<const plan::QueryPlan* const> plans) const;
-
-  // Packed-path dispatch policy for PredictBatchMs cache misses:
+  // Packed-path dispatch policy for PredictBatchMs teacher misses at
+  // kF32/kI8 (kF64 always prices per plan):
   //   kAuto (default) — packed when a batch has >= 2 misses, per-plan
   //                     otherwise (a single miss gains nothing from packing);
-  //   kOn             — packed whenever there is at least one miss (tests);
   //   kOff            — always the per-plan reference path.
-  // Process default is kAuto, overridable by DACE_PACKED=auto|on|off
-  // (resolved once); this setter overrides per estimator.
-  enum class PackedMode { kAuto = 0, kOn = 1, kOff = 2 };
-  static PackedMode DefaultPackedMode();
+  enum class PackedMode { kAuto = 0, kOff = 1 };
   void set_packed_inference(PackedMode mode) { packed_mode_ = mode; }
   PackedMode packed_inference() const { return packed_mode_; }
 
@@ -485,7 +440,9 @@ class DaceEstimator : public CostEstimator {
   // student, and lineage — and its OWN scratch, cache and RNG (reseeded from
   // config.seed), so the clone can fine-tune on a background thread while
   // the original keeps serving. Name and cache capacity carry over; thread
-  // pool and tier/packed modes are left at the clone's defaults.
+  // pool and tier/packed modes are left at the clone's defaults (kAuto), so
+  // at kF64 the clone prices misses per plan like any estimator and at
+  // kF32/kI8 packs multi-miss batches.
   std::unique_ptr<DaceEstimator> Clone() const;
 
  private:
@@ -545,7 +502,6 @@ class DaceEstimator : public CostEstimator {
     std::vector<const featurize::PlanFeatures*> feat_ptrs;
     DaceModel::PackedWorkspace ws;
     std::vector<double> roots;
-    std::vector<std::vector<double>> rows;  // all-rows packed output
     size_t used_nodes = 0;
     size_t alloc_nodes = 0;
     ScratchGovernor governor;
@@ -592,8 +548,8 @@ class DaceEstimator : public CostEstimator {
   DaceModel model_;
   TrainStats last_train_stats_;
   ThreadPool* pool_ = nullptr;
-  PackedMode packed_mode_ = DefaultPackedMode();
-  TierMode tier_mode_ = DefaultTierMode();
+  PackedMode packed_mode_ = PackedMode::kAuto;
+  TierMode tier_mode_ = TierMode::kAuto;
   mutable std::vector<BatchScratch> batch_scratch_;
   mutable std::vector<PackScratch> pack_scratch_;
   mutable CallScratch call_scratch_;

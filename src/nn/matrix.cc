@@ -107,19 +107,6 @@ void MatMulBiasImpl(const Matrix& a, const Matrix& b, const Matrix& bias,
 
 }  // namespace
 
-void MatMulAccView(const double* a, size_t lda, size_t m, size_t k,
-                   const double* b, size_t ldb, size_t n, double* out,
-                   size_t ldo) {
-  const kernel::Table& t = kernel::Active();
-  for (size_t jj = 0; jj < n; jj += kJc) {
-    const size_t jend = std::min(jj + kJc, n);
-    for (size_t pp = 0; pp < k; pp += kKc) {
-      t.mm_panel(a, lda, b, ldb, out, ldo, m, pp, std::min(pp + kKc, k), jj,
-                 jend);
-    }
-  }
-}
-
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows(), n = b.cols();

@@ -24,8 +24,13 @@ FeedbackLedger::FeedbackLedger(size_t capacity)
 uint64_t FeedbackLedger::RecordPrediction(double predicted_ms) {
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[id & mask_];
+  // Seqlock write: retire the slot's id before its value changes. The value
+  // store releases the retirement, so a joiner that claimed the record this
+  // write laps and then acquires the new value also sees the retired id and
+  // fails its re-validation.
+  slot.id.store(kEmpty, std::memory_order_relaxed);
   slot.predicted_bits.store(std::bit_cast<uint64_t>(predicted_ms),
-                            std::memory_order_relaxed);
+                            std::memory_order_release);
   // Release-publish: a joiner that acquires this id also sees the value
   // store above. This plain store is also what laps (evicts) the record
   // `capacity` ids older sharing the slot — no reclamation step needed.
@@ -60,11 +65,12 @@ Status FeedbackLedger::Join(uint64_t request_id, double* predicted_ms) {
     return Status::NotFound("prediction already joined");
   }
   const double value =
-      std::bit_cast<double>(slot.predicted_bits.load(std::memory_order_relaxed));
-  // Seqlock-style validation: a writer lapping the ring between our claim
-  // and the value load would have overwritten both fields (writers store
-  // unconditionally). If the id no longer carries our claim, the value may
-  // be torn — report eviction rather than returning it.
+      std::bit_cast<double>(slot.predicted_bits.load(std::memory_order_acquire));
+  // Seqlock-style validation: a writer lapping the ring retires the id
+  // before it releases a new value, so if the value load acquired that
+  // store, the retired id is visible here. If the id no longer carries our
+  // claim, the value may belong to a newer record — report eviction rather
+  // than returning it.
   if (slot.id.load(std::memory_order_acquire) != (request_id | kJoinedBit)) {
     return Status::NotFound("prediction record evicted during join");
   }

@@ -20,17 +20,18 @@ namespace dace::serve {
 
 // Lock-free bounded ledger of outstanding predictions awaiting their
 // ground-truth latency. The serving hot path pays exactly one
-// RecordPrediction per priced plan (~a fetch_add and two stores); the join
+// RecordPrediction per priced plan (~a fetch_add and three stores); the join
 // side (ReportActual, driven by the executor's completion callback) does the
 // expensive accuracy work off the prediction path.
 //
 // Layout: a power-of-two ring indexed by request_id & mask. Record claims
-// the next id, writes the predicted value into its slot, then publishes the
-// id with a release store; Join acquires the id, claims it by CASing in a
-// joined bit, reads the value, and seqlock-style re-validates the id
-// afterwards (a writer lapping the ring mid-join would have overwritten the
-// slot — the join then reports the record evicted instead of returning a
-// torn double).
+// the next id, retires the slot's old id (kEmpty), release-stores the
+// predicted value into its slot, then publishes the id with a release
+// store; Join acquires the id, claims it by CASing in a joined bit,
+// acquires the value, and seqlock-style re-validates the id afterwards (a
+// writer lapping the ring mid-join retires the id before it overwrites the
+// value — the join then reports the record evicted instead of returning the
+// newer record's value).
 //
 // Eviction is age-based on the id stream itself: a record is evicted once
 // `capacity` newer predictions have been issued — the ring IS the TTL, in
@@ -46,7 +47,7 @@ class FeedbackLedger {
   FeedbackLedger& operator=(const FeedbackLedger&) = delete;
 
   // Retains `predicted_ms` and returns the id ground truth must quote back.
-  // Wait-free (one fetch_add, two stores). Thread-safe.
+  // Wait-free (one fetch_add, three stores). Thread-safe.
   uint64_t RecordPrediction(double predicted_ms);
 
   // Claims the record and returns its prediction in *predicted_ms. Each id

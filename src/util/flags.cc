@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace dace {
@@ -31,20 +32,29 @@ int64_t Flags::GetInt(std::string_view key, int64_t default_value) const {
   const auto it = values_.find(std::string(key));
   if (it == values_.end()) return default_value;
   auto parsed = ParseInt64(it->second);
-  return parsed.ok() ? *parsed : default_value;
+  DACE_CHECK(parsed.ok()) << "flag --" << key << ": malformed integer value '"
+                          << it->second << "'";
+  return *parsed;
 }
 
 double Flags::GetDouble(std::string_view key, double default_value) const {
   const auto it = values_.find(std::string(key));
   if (it == values_.end()) return default_value;
   auto parsed = ParseDouble(it->second);
-  return parsed.ok() ? *parsed : default_value;
+  DACE_CHECK(parsed.ok()) << "flag --" << key << ": malformed number value '"
+                          << it->second << "'";
+  return *parsed;
 }
 
 bool Flags::GetBool(std::string_view key, bool default_value) const {
   const auto it = values_.find(std::string(key));
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  DACE_CHECK(false) << "flag --" << key << ": malformed boolean value '" << v
+                    << "' (expected true/1/yes or false/0/no)";
+  return default_value;
 }
 
 std::string Flags::GetString(std::string_view key,

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <sstream>
 
@@ -424,86 +423,6 @@ TEST(TreeAttentionTest, SerializationRoundTrip) {
 }
 
 // ------------------------------------------------------------- Packed ----
-
-bool BitEqualDouble(double a, double b) {
-  uint64_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
-
-// The packed tree-attention forward must reproduce the per-plan cached
-// forward BIT-for-bit on every block, including blocks of different sizes
-// packed together (the f64 bit-identity contract of ForwardPackedCached).
-TEST(TreeAttentionTest, PackedForwardMatchesPerBlockBitwise) {
-  Rng rng(41);
-  TreeAttention attn;
-  attn.Init(6, 8, 5, &rng);
-  const size_t block_sizes[] = {1, 4, 2, 7, 4};
-  PackLayout layout;
-  std::vector<Matrix> inputs, masks;
-  for (size_t n : block_sizes) {
-    layout.Add(n);
-    inputs.push_back(RandomMatrix(n, 6, 42 + n));
-    masks.push_back(ChainMask(n));
-  }
-  Matrix packed_s(layout.total_rows, 6);
-  std::vector<const Matrix*> mask_ptrs;
-  for (size_t b = 0; b < inputs.size(); ++b) {
-    for (size_t i = 0; i < inputs[b].rows(); ++i) {
-      for (size_t j = 0; j < 6; ++j) {
-        packed_s(layout.offset[b] + i, j) = inputs[b](i, j);
-      }
-    }
-    mask_ptrs.push_back(&masks[b]);
-  }
-  TreeAttention::PackedCache cache;
-  Matrix packed_out;
-  attn.ForwardPackedCached(packed_s, layout, mask_ptrs.data(), &cache,
-                           &packed_out);
-  ASSERT_EQ(packed_out.rows(), layout.total_rows);
-  for (size_t b = 0; b < inputs.size(); ++b) {
-    TreeAttention::Cache ref_cache;
-    Matrix ref_out;
-    attn.ForwardCached(inputs[b], masks[b], &ref_cache, &ref_out);
-    for (size_t i = 0; i < ref_out.rows(); ++i) {
-      for (size_t j = 0; j < ref_out.cols(); ++j) {
-        EXPECT_TRUE(BitEqualDouble(ref_out(i, j),
-                                   packed_out(layout.offset[b] + i, j)))
-            << "block " << b << " cell (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-// Linear::ForwardPackedCached must equal ForwardReluCached /ForwardCached
-// row-for-row, with and without LoRA, with and without the ReLU epilogue.
-TEST(LinearTest, PackedForwardMatchesCachedBitwise) {
-  for (size_t lora_rank : {size_t{0}, size_t{2}}) {
-    Rng rng(43);
-    Linear layer;
-    layer.Init(5, 3, &rng, lora_rank);
-    const Matrix x = RandomMatrix(9, 5, 44);
-    Linear::ExternalCache ref_cache, packed_cache;
-    Matrix ref_z, ref_h, packed_z, packed_h;
-    layer.ForwardReluCached(x, &ref_cache, &ref_z, &ref_h);
-    layer.ForwardPackedCached(x, &packed_cache, &packed_z, &packed_h);
-    ASSERT_EQ(ref_z.rows(), packed_z.rows());
-    for (size_t i = 0; i < ref_z.size(); ++i) {
-      EXPECT_TRUE(BitEqualDouble(ref_z.data()[i], packed_z.data()[i]))
-          << "z @" << i << " rank " << lora_rank;
-      EXPECT_TRUE(BitEqualDouble(ref_h.data()[i], packed_h.data()[i]))
-          << "h @" << i << " rank " << lora_rank;
-    }
-    Matrix ref_z2, packed_z2;
-    layer.ForwardCached(x, &ref_cache, &ref_z2);
-    layer.ForwardPackedCached(x, &packed_cache, &packed_z2, nullptr);
-    for (size_t i = 0; i < ref_z2.size(); ++i) {
-      EXPECT_TRUE(BitEqualDouble(ref_z2.data()[i], packed_z2.data()[i]))
-          << "no-relu z @" << i << " rank " << lora_rank;
-    }
-  }
-}
 
 TEST(PackLayoutTest, TracksOffsetsTotalsAndMax) {
   PackLayout layout;

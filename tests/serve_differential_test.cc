@@ -5,8 +5,11 @@
 // with the prediction cache disabled and enabled, sequentially and under
 // concurrent submission (where requests from different threads coalesce
 // into mixed micro-batches). Coalescing may only change who computes,
-// never what is computed.
+// never what is computed. The PackedF32* variants serve at kF32, where
+// coalesced multi-miss micro-batches run the packed f32 forward, and hold
+// every answer to the DESIGN §13 q-error budget of f64 PredictMs instead.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,11 +39,11 @@ class ServeDifferentialTest : public ::testing::Test {
     estimator_ = std::make_shared<core::DaceEstimator>(config);
     estimator_->Train(plans_);
     ASSERT_TRUE(registry_.Register("tenant", estimator_).ok());
-    // This suite is an f64 bit-identity contract (PredictMs vs batched vs
+    // The bitwise variants are an f64 contract (PredictMs vs batched vs
     // coalesced service). Pin the precision so a DACE_PRECISION=f32
-    // environment doesn't route the packed path through the f32 kernels,
-    // whose results are only q-error-bounded, not bitwise. The f32 budget
-    // is asserted by PackedInferenceTest.F32QErrorDeltaWithinBudget.
+    // environment doesn't route multi-miss batches through the packed f32
+    // path, whose results are only q-error-bounded, not bitwise; the
+    // PackedF32* variants opt in explicitly.
     nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
   }
 
@@ -123,6 +126,58 @@ class ServeDifferentialTest : public ::testing::Test {
     }
   }
 
+  static void ExpectWithinBudget(const std::vector<double>& reference,
+                                 const std::vector<double>& got,
+                                 const char* what) {
+    ASSERT_EQ(reference.size(), got.size()) << what;
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_GT(got[i], 0.0) << what << " plan " << i;
+      const double q =
+          std::max(reference[i] / got[i], got[i] / reference[i]);
+      EXPECT_LT(q, 1.001) << what << " plan " << i << ": f64=" << reference[i]
+                          << " served=" << got[i];
+    }
+  }
+
+  void RunPackedF32Differential(nn::kernel::Isa isa) {
+    nn::kernel::SetIsa(isa);
+    SCOPED_TRACE(std::string("isa=") + nn::kernel::IsaName(isa));
+
+    // f64 per-plan reference, cache disabled.
+    estimator_->set_prediction_cache_capacity(0);
+    std::vector<double> reference;
+    reference.reserve(plans_.size());
+    for (const auto& plan : plans_) {
+      reference.push_back(estimator_->PredictMs(plan));
+    }
+
+    nn::kernel::SetPrecision(nn::kernel::Precision::kF32);
+    // The direct batch call packs every miss (32 plans, one pack).
+    ExpectWithinBudget(reference, estimator_->PredictBatchMs(plans_),
+                       "direct batch");
+
+    ServiceConfig config;
+    config.max_batch = 8;
+    config.max_wait_us = 2000;
+    {
+      EstimatorService service(&registry_, config);
+      ExpectWithinBudget(reference, ServeAll(&service, 1), "sequential");
+      ExpectWithinBudget(reference, ServeAll(&service, 8), "concurrent");
+    }
+    // Cache enabled: hits return the packed answers the fill pass stored.
+    estimator_->set_prediction_cache_capacity(256);
+    {
+      EstimatorService service(&registry_, config);
+      const std::vector<double> fill = ServeAll(&service, 8);
+      const std::vector<double> hits = ServeAll(&service, 8);
+      ExpectWithinBudget(reference, fill, "cache-fill");
+      for (size_t i = 0; i < plans_.size(); ++i) {
+        EXPECT_EQ(fill[i], hits[i]) << "cache-hit plan " << i;
+      }
+      EXPECT_GE(estimator_->prediction_cache_stats().hits, plans_.size());
+    }
+  }
+
   std::vector<plan::QueryPlan> plans_;
   std::shared_ptr<core::DaceEstimator> estimator_;
   ModelRegistry registry_;
@@ -142,20 +197,19 @@ TEST_F(ServeDifferentialTest, Avx2Kernels) {
   RunDifferential(nn::kernel::Isa::kAvx2);
 }
 
-// Same differential with the packed multi-plan path forced on for EVERY
-// cache miss (even single-miss micro-batches, which kAuto would price
-// per-plan): coalescing into packs may only change who computes, never what.
-TEST_F(ServeDifferentialTest, PackedForcedScalarKernels) {
-  estimator_->set_packed_inference(core::DaceEstimator::PackedMode::kOn);
-  RunDifferential(nn::kernel::Isa::kScalar);
+// The packed f32 fan-out behind the service: at kF32 coalesced micro-batches
+// with two or more misses run the packed forward on the drainer. Every
+// answer — sequential, coalesced-concurrent, cache fill and cache hit — must
+// stay within 1.001 q-error of the f64 PredictMs reference.
+TEST_F(ServeDifferentialTest, PackedF32ScalarKernels) {
+  RunPackedF32Differential(nn::kernel::Isa::kScalar);
 }
 
-TEST_F(ServeDifferentialTest, PackedForcedAvx2Kernels) {
+TEST_F(ServeDifferentialTest, PackedF32Avx2Kernels) {
   if (!nn::kernel::HasAvx2()) {
     GTEST_SKIP() << "AVX2 not available on this machine/build";
   }
-  estimator_->set_packed_inference(core::DaceEstimator::PackedMode::kOn);
-  RunDifferential(nn::kernel::Isa::kAvx2);
+  RunPackedF32Differential(nn::kernel::Isa::kAvx2);
 }
 
 // Unknown tenants are refused with a typed error before any queueing.

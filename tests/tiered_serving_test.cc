@@ -4,7 +4,7 @@
 //   - student-tier answers are bit-identical across ISA / DACE_KERNELS modes
 //     (the i8 kernel table carries a 0-ULP scalar/AVX2 contract);
 //   - escalated answers are bit-identical to teacher-only serving (pinned at
-//     f64, where the packed path is itself bit-identical per plan);
+//     f64, where the teacher prices every miss per plan);
 //   - the predict.tier.* counters reconcile exactly:
 //       predict.tier.student + predict.tier.escalated
 //         == predict.tier.requests
@@ -335,51 +335,6 @@ TEST_F(TieredServingTest, StudentFreeCheckpointDropsLiveStudent) {
   EXPECT_EQ(0u, d.requests);
   EXPECT_EQ(eval_plans_.size(), d.teacher);
   std::remove(path.c_str());
-}
-
-TEST_F(TieredServingTest, SubPlansBatchMatchesPerPlanBitwise) {
-  // The batched all-rows path is teacher-only and, at f64, bit-identical to
-  // PredictSubPlansMs row for row — whatever the tier mode.
-  estimator_.set_tier_mode(TierMode::kAuto);
-  for (PackedMode mode : {PackedMode::kOff, PackedMode::kOn}) {
-    estimator_.set_packed_inference(mode);
-    SCOPED_TRACE(static_cast<int>(mode));
-    const std::vector<std::vector<double>> batched =
-        estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
-    ASSERT_EQ(eval_plans_.size(), batched.size());
-    for (size_t i = 0; i < eval_plans_.size(); ++i) {
-      const std::vector<double> reference =
-          estimator_.PredictSubPlansMs(eval_plans_[i]);
-      ASSERT_EQ(reference.size(), batched[i].size()) << "plan " << i;
-      for (size_t j = 0; j < reference.size(); ++j) {
-        EXPECT_EQ(reference[j], batched[i][j])
-            << "plan " << i << " row " << j;
-      }
-    }
-  }
-}
-
-// The f32 all-rows packed path obeys the same q-error budget as the
-// root-only packed path (DESIGN §13) on every sub-plan row.
-TEST_F(TieredServingTest, SubPlansBatchF32WithinBudget) {
-  estimator_.set_packed_inference(PackedMode::kOn);
-  const std::vector<std::vector<double>> f64_rows =
-      estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF32);
-  const std::vector<std::vector<double>> f32_rows =
-      estimator_.PredictSubPlansBatchMs(Ptrs(eval_plans_));
-  nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
-  ASSERT_EQ(f64_rows.size(), f32_rows.size());
-  for (size_t i = 0; i < f64_rows.size(); ++i) {
-    ASSERT_EQ(f64_rows[i].size(), f32_rows[i].size()) << "plan " << i;
-    for (size_t j = 0; j < f64_rows[i].size(); ++j) {
-      ASSERT_GT(f64_rows[i][j], 0.0);
-      ASSERT_GT(f32_rows[i][j], 0.0);
-      const double q = std::max(f64_rows[i][j] / f32_rows[i][j],
-                                f32_rows[i][j] / f64_rows[i][j]);
-      EXPECT_LT(q, 1.001) << "plan " << i << " row " << j;
-    }
-  }
 }
 
 }  // namespace

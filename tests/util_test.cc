@@ -175,6 +175,34 @@ TEST(FlagsTest, TypedAccessors) {
   EXPECT_FALSE(flags->Has("y"));
 }
 
+TEST(FlagsTest, BoolAcceptsBothSpellingSets) {
+  const char* argv[] = {"prog", "--a=1",  "--b=yes", "--c=true",
+                        "--d=0", "--e=no", "--f=false"};
+  auto flags = Flags::Parse(7, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok());
+  for (const char* key : {"a", "b", "c"}) {
+    EXPECT_TRUE(flags->GetBool(key, false)) << key;
+  }
+  for (const char* key : {"d", "e", "f"}) {
+    EXPECT_FALSE(flags->GetBool(key, true)) << key;
+  }
+}
+
+// A malformed value must never fall back to the default: `--epochs=1O`
+// silently training the default epoch count is the failure this guards.
+TEST(FlagsTest, MalformedValuesDieNamingKeyAndValue) {
+  const char* argv[] = {"prog", "--epochs=1O", "--lr=0.0x1", "--trace=ture",
+                        "--threads="};
+  auto flags = Flags::Parse(5, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok());
+  EXPECT_DEATH((void)flags->GetInt("epochs", 12), "--epochs.*'1O'");
+  EXPECT_DEATH((void)flags->GetDouble("lr", 1e-3), "--lr.*'0.0x1'");
+  EXPECT_DEATH((void)flags->GetBool("trace", false), "--trace.*'ture'");
+  EXPECT_DEATH((void)flags->GetInt("threads", 0), "--threads.*''");
+  // Absent keys still take the default.
+  EXPECT_EQ(flags->GetInt("missing", 7), 7);
+}
+
 // ---------------------------------------------------------------- Rng ----
 
 TEST(RngTest, DeterministicForSeed) {

@@ -9,11 +9,14 @@
 #   3. precision    — the kernel/layer/packed/differential/tiered suites
 #                     under every DACE_KERNELS={scalar,avx2} x
 #                     DACE_PRECISION={f64,f32,i8} combination (avx2 columns
-#                     skipped on machines without AVX2+FMA). Suites asserting
-#                     f64 bit-identity pin their precision internally, so a
-#                     green run here proves both that the env resolution
-#                     works and that no suite accidentally depends on the
-#                     ambient default.
+#                     skipped on machines without AVX2+FMA). Packing is a
+#                     property of f32: at f64 every miss is priced per plan
+#                     (the bit-exact reference), at f32/i8 multi-miss batches
+#                     run the packed f32 forward. Suites asserting f64
+#                     bit-identity or the f32 q-error budget pin their
+#                     precision internally, so a green run here proves both
+#                     that the env resolution works and that no suite
+#                     accidentally depends on the ambient default.
 #   4. asan         — separate build tree with -DDACE_SANITIZE=address, run
 #                     in both ISA modes (the AVX2 tail handling and the
 #                     aligned allocator are the interesting targets).
@@ -32,11 +35,12 @@
 #                     registry, trace ring buffers, and log lines are
 #                     exercised concurrently under TSan.
 #   7. tsan-serve   — the serving-layer suites (coalescing scheduler, hot
-#                     swap, soak with concurrent swappers, differential
-#                     bit-identity — including the PackedForced* variants
-#                     that pin the packed multi-plan path on for every miss)
-#                     re-run explicitly under TSan with tracing and INFO
-#                     logging on: the admission queue, drainer threads,
+#                     swap, soak with concurrent swappers, f64 differential
+#                     bit-identity, and the PackedF32* variants that serve
+#                     at f32 so coalesced micro-batches run the packed
+#                     forward, within the 1.001 q-error budget of f64
+#                     PredictMs) re-run explicitly under TSan with tracing
+#                     and INFO logging on: the admission queue, drainer threads,
 #                     packed fan-out and snapshot publication must be
 #                     race-free, not just produce correct numbers.
 #   8. obs-off      — separate build tree with -DDACE_OBS=OFF proving the
@@ -69,8 +73,9 @@
 #                     serve.feedback.* counters) before the process exits.
 #  12. bench-micro  — kernel/inference microbenchmarks; writes
 #                     BENCH_micro.json and gates on the derived records:
-#                     the packed f64 path must not be slower than the
-#                     per-plan path (packed_vs_perplan_speedup >= 1.0), the
+#                     the packed f32 path must hold a decisive margin over
+#                     the f64 per-plan path
+#                     (packed_f32_vs_perplan_speedup >= 3.0), the
 #                     int8 student tier must hold a healthy margin over the
 #                     packed f32 teacher (student_vs_teacher_speedup >= 3.0),
 #                     the tiered path's median q-error must stay within
@@ -145,7 +150,7 @@ cmake --build build-tsan -j "$JOBS"
 run_ctest build-tsan env DACE_LOG_LEVEL=INFO DACE_TRACE=1
 
 echo "==> [7/13] serving-layer suites under TSan (soak, swap, differential"
-echo "           incl. PackedForced* packed-path variants)"
+echo "           incl. PackedF32* packed-path variants)"
 (cd build-tsan && env DACE_LOG_LEVEL=INFO DACE_TRACE=1 \
   ctest --output-on-failure -R 'Serve|RegistrySwap')
 
@@ -338,19 +343,17 @@ import json, sys
 records = {r["name"]: r for r in json.load(open("BENCH_micro.json"))["records"]}
 failures = []
 
-# The packed f64 path is the default for multi-miss serving batches; it is
-# allowed to be a wash on small models but must never be a regression.
-packed = records.get("packed_vs_perplan_speedup")
+# The packed f32 forward is the only packed path (multi-miss batches at
+# f32/i8); it exists for throughput, so it must stay decisively faster than
+# the f64 per-plan reference. 3.0x is the floor, not the target (the
+# committed record should sit well above it).
+packed = records.get("packed_f32_vs_perplan_speedup")
 if packed is None:
-    failures.append("packed_vs_perplan_speedup record missing from BENCH_micro.json")
-elif packed["speedup"] < 1.0:
+    failures.append("packed_f32_vs_perplan_speedup record missing from BENCH_micro.json")
+elif packed["speedup"] < 3.0:
     failures.append(
-        f"packed f64 path slower than per-plan reference: "
-        f"{packed['speedup']:.3f}x < 1.0x")
-
-for name in ("f32_vs_f64_speedup", "packed_f32_vs_perplan_speedup"):
-    if name not in records:
-        failures.append(f"{name} record missing from BENCH_micro.json")
+        f"packed f32 path too close to the f64 per-plan reference: "
+        f"{packed['speedup']:.3f}x < 3.0x")
 
 # The student tier only earns its keep while it is decisively cheaper than
 # the packed f32 teacher it escalates to. 3.0x is the floor, not the target
@@ -390,9 +393,7 @@ if failures:
         print(f"FAIL: {f}", file=sys.stderr)
     sys.exit(1)
 
-print(f"    packed_vs_perplan_speedup        {packed['speedup']:.2f}x")
-print(f"    f32_vs_f64_speedup               {records['f32_vs_f64_speedup']['speedup']:.2f}x")
-print(f"    packed_f32_vs_perplan_speedup    {records['packed_f32_vs_perplan_speedup']['speedup']:.2f}x")
+print(f"    packed_f32_vs_perplan_speedup    {packed['speedup']:.2f}x (>= 3.00x)")
 print(f"    student_vs_teacher_speedup       {student['speedup']:.2f}x")
 print(f"    tiered_qerror_budget             {qerr['ratio']:.4f} (<= {qerr['budget']:.2f})")
 print(f"    feedback_overhead_pct            {feedback['overhead_pct']:+.2f}% (<= +2.00%)")
