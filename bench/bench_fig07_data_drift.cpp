@@ -182,7 +182,6 @@ void RunAdaptationSoak(const core::DaceEstimator& trained,
   if (!registry.Register("soak", serving).ok()) return;
 
   serve::ServiceConfig sc;
-  sc.max_wait_us = 50;
   sc.feedback.retain_capacity = 512;
   // A short rolling window so the post-swap accuracy measurement flushes
   // pre-swap observations quickly.

@@ -1,6 +1,7 @@
 // Closed-loop load generator for the serving layer: N client threads ×
-// T tenants drive EstimatorService (coalescing scheduler over per-tenant
-// snapshots) while an optional swapper hot-swaps checkpoints mid-run.
+// T tenants drive EstimatorService (work-conserving coalescing scheduler over
+// per-tenant snapshots) while an optional swapper hot-swaps checkpoints
+// mid-run.
 // Reports client-observed latency percentiles, throughput, the serve.*
 // outcome counters, and the realized coalescing (batches / mean batch
 // size). Not a paper table — this benchmarks the PR-5 serving layer that
@@ -8,7 +9,7 @@
 //
 //   ./bench_serve [--tenants=3] [--clients=8] [--requests=2000]
 //                 [--plans=64] [--epochs=1] [--max-batch=64]
-//                 [--max-wait-us=200] [--queue-cap=1024] [--deadline-us=0]
+//                 [--queue-cap=1024] [--deadline-us=0]
 //                 [--swaps=4] [--threads=N] [--precision=i8|f32|f64]
 //                 [--json=out.json] [--metrics-json=m.json]
 //                 [--trace-json=t.json] [--metrics-port=0]
@@ -29,6 +30,8 @@
 // the metrics endpoint) alive that long after the run so an external
 // scraper can pull the end-state — the check.sh exposition smoke does
 // exactly that.
+//
+// Any other flag (a typo, a retired option) aborts naming it.
 
 #include <algorithm>
 #include <atomic>
@@ -100,9 +103,9 @@ int main(int argc, char** argv) {
   serve::ServiceConfig service_config;
   service_config.max_batch =
       static_cast<size_t>(flags.GetInt("max-batch", 64));
-  service_config.max_wait_us = flags.GetInt("max-wait-us", 200);
   service_config.queue_capacity =
       static_cast<size_t>(flags.GetInt("queue-cap", 1024));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("serving layer: coalescing + hot swap under load",
                      "serving micro-benchmark (no paper table)");
@@ -266,9 +269,8 @@ int main(int argc, char** argv) {
   const uint64_t drift_alarms = metrics->GetCounter("drift.alarms")->Value();
 
   std::printf("\nclients=%d tenants=%d requests/client=%d "
-              "max_batch=%zu max_wait_us=%lld queue_cap=%zu\n",
+              "max_batch=%zu queue_cap=%zu\n",
               clients, tenants, requests, service_config.max_batch,
-              static_cast<long long>(service_config.max_wait_us),
               service_config.queue_capacity);
   std::printf("outcomes: ok=%llu rejected=%llu deadline_missed=%llu "
               "(issued=%llu)\n",
@@ -302,7 +304,6 @@ int main(int argc, char** argv) {
       .Num("tenants", tenants)
       .Num("requests_per_client", requests)
       .Num("max_batch", static_cast<double>(service_config.max_batch))
-      .Num("max_wait_us", static_cast<double>(service_config.max_wait_us))
       .Num("queue_capacity", static_cast<double>(service_config.queue_capacity))
       .Num("deadline_us", static_cast<double>(deadline_us))
       .Num("ok", static_cast<double>(ok.load()))

@@ -1123,6 +1123,9 @@ void DaceEstimator::PredictBatchMsInto(
           }
           {
             DACE_TRACE_SPAN("predict.forward");
+            // s.ws is governed scratch (GovernScratch): keeping its largest
+            // shapes makes the warm per-plan forward allocation-free.
+            nn::ScopedCapacityReuse reuse;
             model_.PredictAllInto(s.feats, &s.ws, &s.preds);
           }
           {

@@ -10,6 +10,27 @@
 
 namespace dace::nn {
 
+namespace {
+
+thread_local int capacity_reuse_depth = 0;
+
+// Gives *out the shape rows×cols, zero-filled if the shape changed. Inside a
+// ScopedCapacityReuse the buffer is kept when it is big enough; otherwise
+// it is replaced, so the workspace holds exactly the current shape.
+void Reshape(Matrix* out, size_t rows, size_t cols) {
+  if (out->rows() == rows && out->cols() == cols) return;
+  if (capacity_reuse_depth > 0) {
+    out->Resize(rows, cols);
+  } else {
+    *out = Matrix(rows, cols);
+  }
+}
+
+}  // namespace
+
+ScopedCapacityReuse::ScopedCapacityReuse() { ++capacity_reuse_depth; }
+ScopedCapacityReuse::~ScopedCapacityReuse() { --capacity_reuse_depth; }
+
 void Matrix::SetZero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
 void Matrix::Fill(double value) {
@@ -84,8 +105,8 @@ void MatMulBiasImpl(const Matrix& a, const Matrix& b, const Matrix& bias,
   DACE_CHECK_EQ(bias.rows(), 1u);
   DACE_CHECK_EQ(bias.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (z->rows() != m || z->cols() != n) *z = Matrix(m, n);
-  if (h != nullptr && (h->rows() != m || h->cols() != n)) *h = Matrix(m, n);
+  Reshape(z, m, n);
+  if (h != nullptr) Reshape(h, m, n);
   const double* brow = bias.RowPtr(0);
   for (size_t i = 0; i < m; ++i) {
     std::memcpy(z->RowPtr(i), brow, n * sizeof(double));
@@ -110,7 +131,7 @@ void MatMulBiasImpl(const Matrix& a, const Matrix& b, const Matrix& bias,
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows(), n = b.cols();
-  if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
+  Reshape(out, m, n);
   out->SetZero();
   MatMulBlockedInto(a, b, out);
 }
@@ -136,7 +157,7 @@ void MatMulBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
 void MatMulTransposedB(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
+  Reshape(out, m, n);
   const kernel::Table& t = kernel::Active();
   // j-tiled dot products: a kJb-row panel of b (≤16 KB at k = 128) stays in
   // L1 while every row of a streams against it. Attention's (n×n) score and
@@ -156,7 +177,7 @@ void MatMulTransposedB(const Matrix& a, const Matrix& b, Matrix* out) {
 void MatMulTransposedA(const Matrix& a, const Matrix& b, Matrix* out) {
   DACE_CHECK_EQ(a.rows(), b.rows());
   const size_t m = a.cols(), n = b.cols();
-  if (out->rows() != m || out->cols() != n) *out = Matrix(m, n);
+  Reshape(out, m, n);
   out->SetZero();
   MatMulTransposedAAcc(a, b, out);
 }
@@ -179,13 +200,13 @@ void MatMulTransposedAAcc(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 void ReluInto(const Matrix& z, Matrix* h) {
-  if (!h->SameShape(z)) *h = Matrix(z.rows(), z.cols());
+  Reshape(h, z.rows(), z.cols());
   kernel::Active().relu(z.size(), z.data(), h->data());
 }
 
 void MaskedRowSoftmax(const Matrix& in, const Matrix& mask, Matrix* out) {
   DACE_CHECK(in.SameShape(mask));
-  if (!out->SameShape(in)) *out = Matrix(in.rows(), in.cols());
+  Reshape(out, in.rows(), in.cols());
   const kernel::Table& t = kernel::Active();
   const size_t n = in.cols();
   for (size_t i = 0; i < in.rows(); ++i) {

@@ -123,6 +123,21 @@ class Matrix {
   Buffer data_;
 };
 
+// Output policy of the matrix ops below. An op whose output has the wrong
+// shape normally replaces its buffer, so a workspace holds exactly its
+// current shape. While a ScopedCapacityReuse is alive on the calling thread
+// the ops reshape through Matrix::Resize instead and keep any buffer that is
+// big enough. Inference scratch that cycles through per-plan shapes opts in
+// and stops allocating once warm; training chunks and reference workspaces
+// stay out, so they never pin their largest plan's capacity.
+class ScopedCapacityReuse {
+ public:
+  ScopedCapacityReuse();
+  ~ScopedCapacityReuse();
+  ScopedCapacityReuse(const ScopedCapacityReuse&) = delete;
+  ScopedCapacityReuse& operator=(const ScopedCapacityReuse&) = delete;
+};
+
 // out = a * b, shapes (m×k)·(k×n) → (m×n). `out` is overwritten. The kernels
 // are cache-blocked (k/j tiles sized for L1 residency) but accumulate each
 // output cell in ascending-k order, so results are bit-identical across the

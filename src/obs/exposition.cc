@@ -232,8 +232,10 @@ void ExpositionServer::AcceptLoop() {
       if (n <= 0) break;
       sent += static_cast<size_t>(n);
     }
-    ::close(conn);
+    // Count before closing: the client's EOF then follows the increment,
+    // so a caller that has read a full scrape always sees it counted.
     scrapes->Add(1);
+    ::close(conn);
   }
 }
 

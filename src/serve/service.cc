@@ -19,9 +19,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ElapsedUs(Clock::time_point since) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - since)
-      .count();
+double Us(Clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
 }
 
 // Handles into the process-wide registry, resolved once. All accounting for
@@ -38,6 +37,10 @@ struct ServeMetrics {
   obs::Histogram* batch_size;
   obs::Histogram* batch_us;
   obs::Histogram* request_us;
+  // The three stages of one OK request; per request they sum to request_us.
+  obs::Histogram* queue_wait_us;
+  obs::Histogram* stage_batch_us;
+  obs::Histogram* wake_us;
   obs::Gauge* queue_depth_hw;
 };
 
@@ -57,6 +60,12 @@ ServeMetrics* Metrics() {
         r->GetHistogram("serve.batch.latency_us", obs::LatencyBucketsUs());
     m->request_us =
         r->GetHistogram("serve.request.latency_us", obs::LatencyBucketsUs());
+    m->queue_wait_us = r->GetHistogram("serve.stage.queue_wait.latency_us",
+                                       obs::LatencyBucketsUs());
+    m->stage_batch_us = r->GetHistogram("serve.stage.batch.latency_us",
+                                        obs::LatencyBucketsUs());
+    m->wake_us = r->GetHistogram("serve.stage.wake.latency_us",
+                                 obs::LatencyBucketsUs());
     m->queue_depth_hw = r->GetGauge("serve.queue.depth.high_water");
     return m;
   }();
@@ -68,10 +77,13 @@ ServeMetrics* Metrics() {
 // One in-flight request. Lives on the submitting caller's stack: the caller
 // never returns from Submit until `done` (or until it removed itself from
 // the pending queue under the lock), so the drainer's pointer is always
-// valid. `claimed`/`done` are only written under the queue mutex.
+// valid. `claimed`/`done` and the stage stamps are only written under the
+// queue mutex.
 struct EstimatorService::Request {
   const plan::QueryPlan* plan = nullptr;
   Clock::time_point deadline{};
+  Clock::time_point claimed_at{};   // taken into a drainer batch
+  Clock::time_point finished_at{};  // result written by the drainer
   bool has_deadline = false;
   bool claimed = false;  // owned by a drainer batch; a result is coming
   bool done = false;
@@ -79,11 +91,12 @@ struct EstimatorService::Request {
   Status status;
 };
 
-// Bounded admission queue + coalescing drainer for one tenant. The drainer
-// thread claims micro-batches (flush on max-batch or max-wait) and prices
-// each with a single PredictBatchMs call on the tenant's current snapshot;
-// that call fans the batch out across the process thread pool. Serializing
-// batches per tenant is also what makes PredictBatchMs safe here — the
+// Bounded admission queue + work-conserving drainer for one tenant. Whenever
+// the drainer thread is free it claims everything pending (up to max_batch)
+// and prices it with a single PredictBatchMsInto call on the tenant's
+// current snapshot; that call fans the batch out across the process thread
+// pool, and whatever arrives meanwhile forms the next batch. Serializing
+// batches per tenant is also what makes PredictBatchMsInto safe here — the
 // estimator's batch scratch is per-estimator, and exactly one drainer
 // touches a tenant's snapshot at a time (snapshots retired by a hot swap
 // finish their last batch on the old object, which the new drainer batches
@@ -120,10 +133,14 @@ class EstimatorService::TenantQueue {
     if (req.has_deadline) {
       req.deadline = start + std::chrono::microseconds(deadline_us);
     }
-    const Status outcome = EnqueueAndWait(&req, start);
+    const Status outcome = EnqueueAndWait(&req);
     if (outcome.ok()) {
+      const Clock::time_point end = Clock::now();
       m->ok->Add(1);
-      m->request_us->Observe(ElapsedUs(start));
+      m->request_us->Observe(Us(end - start));
+      m->queue_wait_us->Observe(Us(req.claimed_at - start));
+      m->stage_batch_us->Observe(Us(req.finished_at - req.claimed_at));
+      m->wake_us->Observe(Us(end - req.finished_at));
       return req.ms;
     }
     if (outcome.code() == StatusCode::kDeadlineExceeded) {
@@ -134,8 +151,21 @@ class EstimatorService::TenantQueue {
     return outcome;
   }
 
+  void SetPaused(bool paused) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      paused_ = paused;
+    }
+    drain_cv_.notify_all();
+  }
+
+  size_t Pending() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pending_.size();
+  }
+
  private:
-  Status EnqueueAndWait(Request* req, Clock::time_point start) {
+  Status EnqueueAndWait(Request* req) {
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_) return Status::Unavailable("service is shut down");
     if (pending_.size() >= config_.queue_capacity) {
@@ -146,7 +176,6 @@ class EstimatorService::TenantQueue {
     if (req->has_deadline && Clock::now() >= req->deadline) {
       return Status::DeadlineExceeded("deadline expired before admission");
     }
-    if (pending_.empty()) window_open_ = start;
     pending_.push_back(req);
     Metrics()->queue_depth_hw->SetMax(static_cast<double>(pending_.size()));
     drain_cv_.notify_one();
@@ -174,34 +203,23 @@ class EstimatorService::TenantQueue {
   }
 
   void DrainLoop() {
+    std::vector<Request*> batch;
     for (;;) {
-      std::vector<Request*> batch;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        drain_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
-        if (pending_.empty()) {
-          if (stop_) return;  // shut down with nothing left to drain
-          continue;
-        }
-        // Coalescing window: dispatch when the batch is full or the oldest
-        // pending request has waited max_wait_us (immediately on shutdown —
-        // admitted requests still complete).
-        const Clock::time_point flush_at =
-            window_open_ + std::chrono::microseconds(config_.max_wait_us);
-        while (!stop_ && pending_.size() < config_.max_batch &&
-               Clock::now() < flush_at) {
-          drain_cv_.wait_until(lock, flush_at);
-        }
+        // Shutdown overrides a pause: admitted requests still complete.
+        drain_cv_.wait(lock, [this] {
+          return stop_ || (!paused_ && !pending_.empty());
+        });
+        if (pending_.empty()) return;  // shut down with nothing left to drain
         const size_t n = std::min(pending_.size(), config_.max_batch);
         const auto split = pending_.begin() + static_cast<ptrdiff_t>(n);
-        batch.assign(pending_.begin(), split);
-        pending_.erase(pending_.begin(), split);
-        // Requests left behind by a full batch open a fresh window.
-        if (!pending_.empty()) window_open_ = Clock::now();
         const Clock::time_point now = Clock::now();
-        size_t live = 0;
-        for (Request* r : batch) {
+        batch.clear();
+        for (auto it = pending_.begin(); it != split; ++it) {
+          Request* r = *it;
           r->claimed = true;
+          r->claimed_at = now;
           if (r->has_deadline && now >= r->deadline) {
             // Expired while queued: fail it now instead of spending forward-
             // pass work on a result the caller already gave up on.
@@ -209,46 +227,44 @@ class EstimatorService::TenantQueue {
                 Status::DeadlineExceeded("deadline expired while queued");
             r->done = true;
           } else {
-            batch[live++] = r;
+            batch.push_back(r);
           }
         }
-        if (live < batch.size()) {
-          batch.resize(live);
-          client_cv_.notify_all();
-        }
+        pending_.erase(pending_.begin(), split);
+        if (batch.size() < n) client_cv_.notify_all();  // some expired
       }
-      ExecuteBatch(std::move(batch));
+      ExecuteBatch(batch);
     }
   }
 
-  void ExecuteBatch(std::vector<Request*> batch) {
+  void ExecuteBatch(const std::vector<Request*>& batch) {
     if (batch.empty()) return;
     ServeMetrics* m = Metrics();
     Status failure;
-    std::vector<double> results;
     auto snapshot_or = registry_->Get(tenant_);
     if (!snapshot_or.ok()) {
       failure = snapshot_or.status();
     } else {
       const ModelRegistry::Snapshot snapshot = *std::move(snapshot_or);
-      std::vector<const plan::QueryPlan*> plans;
-      plans.reserve(batch.size());
-      for (const Request* r : batch) plans.push_back(r->plan);
+      plans_.clear();
+      for (const Request* r : batch) plans_.push_back(r->plan);
       DACE_TRACE_SPAN("serve.batch");
       const Clock::time_point t0 = Clock::now();
-      results = snapshot->PredictBatchMs(plans);
+      snapshot->PredictBatchMsInto(plans_, &results_);
       m->batches->Add(1);
       m->batch_size->Observe(static_cast<double>(batch.size()));
-      m->batch_us->Observe(ElapsedUs(t0));
+      m->batch_us->Observe(Us(Clock::now() - t0));
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      const Clock::time_point finished = Clock::now();
       for (size_t i = 0; i < batch.size(); ++i) {
         if (failure.ok()) {
-          batch[i]->ms = results[i];
+          batch[i]->ms = results_[i];
         } else {
           batch[i]->status = failure;
         }
+        batch[i]->finished_at = finished;
         batch[i]->done = true;
       }
     }
@@ -260,11 +276,14 @@ class EstimatorService::TenantQueue {
   const ServiceConfig config_;
 
   std::mutex mu_;
-  std::condition_variable drain_cv_;   // drainer waits for work / flush
+  std::condition_variable drain_cv_;   // drainer waits for work
   std::condition_variable client_cv_;  // submitters wait for their result
   std::deque<Request*> pending_;
-  Clock::time_point window_open_{};  // enqueue time of the oldest pending
   bool stop_ = false;
+  bool paused_ = false;  // test seam, see EstimatorService::SetDrainerPaused
+  // Drainer-only batch buffers, reused across batches.
+  std::vector<const plan::QueryPlan*> plans_;
+  std::vector<double> results_;
   std::thread drainer_;
 };
 
@@ -274,7 +293,7 @@ EstimatorService::EstimatorService(ModelRegistry* registry,
   DACE_CHECK(registry != nullptr);
   DACE_CHECK(config.max_batch >= 1);
   DACE_CHECK(config.queue_capacity >= 1);
-  DACE_CHECK(config.max_wait_us >= 0);
+  Metrics();  // register the serve.* families before the first request
 }
 
 EstimatorService::~EstimatorService() {
@@ -293,6 +312,21 @@ void EstimatorService::Shutdown() {
   for (TenantQueue* queue : queues) queue->Shutdown();
 }
 
+EstimatorService::TenantQueue* EstimatorService::GetQueue(
+    std::string_view tenant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = queues_.find(tenant);
+  if (it != queues_.end()) return it->second.get();
+  // Never served this tenant and no longer admitting: refuse without
+  // spawning a drainer that would outlive the shutdown.
+  if (shutdown_) return nullptr;
+  return queues_
+      .emplace(std::string(tenant),
+               std::make_unique<TenantQueue>(std::string(tenant), registry_,
+                                             config_))
+      .first->second.get();
+}
+
 StatusOr<double> EstimatorService::Estimate(std::string_view tenant,
                                             const plan::QueryPlan& plan,
                                             int64_t deadline_us) {
@@ -302,30 +336,21 @@ StatusOr<double> EstimatorService::Estimate(std::string_view tenant,
     auto snapshot = registry_->Get(tenant);
     if (!snapshot.ok()) return snapshot.status();
   }
-  TenantQueue* queue = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      auto it = queues_.find(tenant);
-      if (it == queues_.end()) {
-        // Never served this tenant and no longer admitting: refuse without
-        // spawning a drainer that would outlive the shutdown.
-        return Status::Unavailable("service is shut down");
-      }
-      queue = it->second.get();  // Submit will refuse, with accounting
-    } else {
-      auto it = queues_.find(tenant);
-      if (it == queues_.end()) {
-        it = queues_
-                 .emplace(std::string(tenant),
-                          std::make_unique<TenantQueue>(std::string(tenant),
-                                                        registry_, config_))
-                 .first;
-      }
-      queue = it->second.get();
-    }
-  }
+  TenantQueue* queue = GetQueue(tenant);
+  if (queue == nullptr) return Status::Unavailable("service is shut down");
+  // After Shutdown an existing queue refuses in Submit, with accounting.
   return queue->Submit(plan, deadline_us);
+}
+
+void EstimatorService::SetDrainerPaused(std::string_view tenant, bool paused) {
+  TenantQueue* queue = GetQueue(tenant);
+  DACE_CHECK(queue != nullptr) << "service is shut down";
+  queue->SetPaused(paused);
+}
+
+size_t EstimatorService::PendingRequests(std::string_view tenant) {
+  TenantQueue* queue = GetQueue(tenant);
+  return queue == nullptr ? 0 : queue->Pending();
 }
 
 TenantFeedback* EstimatorService::GetFeedback(std::string_view tenant) {

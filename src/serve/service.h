@@ -16,15 +16,14 @@
 
 namespace dace::serve {
 
-// Tunables of the coalescing scheduler. The defaults favour latency on an
-// idle service (a lone request waits at most max_wait_us) while letting a
-// loaded service amortize the transformer forward across max_batch plans.
+// Tunables of the coalescing scheduler. Batching is work-conserving: a
+// tenant's drainer claims whatever is pending (up to max_batch) as soon as
+// it is free, so an idle service prices a lone request immediately and a
+// loaded one coalesces the requests that arrived while the previous batch
+// was in flight. No request ever waits on a clock.
 struct ServiceConfig {
-  // Micro-batch flush triggers: a tenant's batch dispatches as soon as
-  // max_batch requests are pending, or as soon as the oldest pending request
-  // has waited max_wait_us microseconds, whichever comes first.
+  // Batch-size cap: one PredictBatchMs call prices at most this many plans.
   size_t max_batch = 64;
-  int64_t max_wait_us = 200;
   // Admission bound per tenant: Estimate returns kUnavailable (backpressure)
   // when this many requests are already queued, so overload degrades into
   // fast typed rejections instead of unbounded queueing.
@@ -45,10 +44,12 @@ struct TrackedEstimate {
 // Thread-safe multi-tenant front end over the estimator stack — the piece
 // that turns "every caller owns a DaceEstimator" into a service. Concurrent
 // single-plan Estimate calls enqueue into a bounded per-tenant admission
-// queue; a per-tenant drainer coalesces them into micro-batches and prices
-// each batch with one PredictBatchMs call (which fans out across the
-// process thread pool), so DACE's batched-inference property pays off
-// across callers, not just within one caller's batch.
+// queue; a per-tenant drainer claims everything pending (up to max_batch)
+// whenever it is free and prices it with one PredictBatchMs call (which
+// fans out across the process thread pool). Requests that arrive while a
+// batch is in flight coalesce into the next one, so DACE's batched-inference
+// property pays off across callers under load without delaying an idle
+// caller.
 //
 // Results are bit-identical to direct PredictMs / PredictBatchMs calls on
 // the snapshot: coalescing only changes who computes, never what is
@@ -68,7 +69,12 @@ struct TrackedEstimate {
 // increments serve.requests and exactly one outcome counter), plus
 // serve.batches, serve.batch.size and serve.batch.latency_us /
 // serve.request.latency_us histograms, a serve.queue.depth.high_water
-// gauge, and a DACE_TRACE_SPAN("serve.batch") per dispatched batch.
+// gauge, and a DACE_TRACE_SPAN("serve.batch") per dispatched batch. Each
+// OK request's latency is also split into three stages that sum to its
+// serve.request.latency_us exactly: serve.stage.queue_wait.latency_us
+// (admission to claim by the drainer), serve.stage.batch.latency_us (claim
+// to result written) and serve.stage.wake.latency_us (result written to the
+// caller returning).
 //
 // Hot swap: each batch resolves the tenant's snapshot at dispatch time, so
 // a ModelRegistry::SwapFromFile takes effect on the next batch; batches
@@ -84,8 +90,8 @@ class EstimatorService {
   EstimatorService& operator=(const EstimatorService&) = delete;
 
   // Predicted runtime of `plan` in milliseconds, via the tenant's coalesced
-  // batch path. Blocks until the request resolves (at most roughly
-  // max_wait_us + one batch execution, or the deadline). deadline_us is a
+  // batch path. Blocks until the request resolves (at most the batch in
+  // flight plus its own batch, or the deadline). deadline_us is a
   // per-request budget relative to the call; <= 0 means no deadline.
   StatusOr<double> Estimate(std::string_view tenant,
                             const plan::QueryPlan& plan,
@@ -145,6 +151,17 @@ class EstimatorService {
  private:
   struct Request;
   class TenantQueue;
+  friend class EstimatorServiceTestPeer;
+
+  // The tenant's queue, created on first use; nullptr once the service is
+  // shut down and the tenant was never served.
+  TenantQueue* GetQueue(std::string_view tenant);
+
+  // Test seam for EstimatorServiceTestPeer: while a tenant's drainer is
+  // paused it claims nothing, so admitted requests stay queued (Shutdown
+  // overrides the pause). PendingRequests is the tenant's queue depth.
+  void SetDrainerPaused(std::string_view tenant, bool paused);
+  size_t PendingRequests(std::string_view tenant);
 
   // The tenant's feedback path, created on first use (decoupled from
   // TenantQueue: feedback outlives queue shutdown, and ReportActual must

@@ -28,28 +28,42 @@ StatusOr<Flags> Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-int64_t Flags::GetInt(std::string_view key, int64_t default_value) const {
+const std::string* Flags::Lookup(std::string_view key) const {
+  read_.emplace(key);
   const auto it = values_.find(std::string(key));
-  if (it == values_.end()) return default_value;
-  auto parsed = ParseInt64(it->second);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+void Flags::DieOnUnreadKeys() const {
+  std::string unread;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) unread += " --" + key;
+  }
+  DACE_CHECK(unread.empty()) << "unknown flag(s):" << unread;
+}
+
+int64_t Flags::GetInt(std::string_view key, int64_t default_value) const {
+  const std::string* value = Lookup(key);
+  if (value == nullptr) return default_value;
+  auto parsed = ParseInt64(*value);
   DACE_CHECK(parsed.ok()) << "flag --" << key << ": malformed integer value '"
-                          << it->second << "'";
+                          << *value << "'";
   return *parsed;
 }
 
 double Flags::GetDouble(std::string_view key, double default_value) const {
-  const auto it = values_.find(std::string(key));
-  if (it == values_.end()) return default_value;
-  auto parsed = ParseDouble(it->second);
+  const std::string* value = Lookup(key);
+  if (value == nullptr) return default_value;
+  auto parsed = ParseDouble(*value);
   DACE_CHECK(parsed.ok()) << "flag --" << key << ": malformed number value '"
-                          << it->second << "'";
+                          << *value << "'";
   return *parsed;
 }
 
 bool Flags::GetBool(std::string_view key, bool default_value) const {
-  const auto it = values_.find(std::string(key));
-  if (it == values_.end()) return default_value;
-  const std::string& v = it->second;
+  const std::string* value = Lookup(key);
+  if (value == nullptr) return default_value;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
   DACE_CHECK(false) << "flag --" << key << ": malformed boolean value '" << v
@@ -59,9 +73,8 @@ bool Flags::GetBool(std::string_view key, bool default_value) const {
 
 std::string Flags::GetString(std::string_view key,
                              std::string_view default_value) const {
-  const auto it = values_.find(std::string(key));
-  if (it == values_.end()) return std::string(default_value);
-  return it->second;
+  const std::string* value = Lookup(key);
+  return value == nullptr ? std::string(default_value) : *value;
 }
 
 }  // namespace dace

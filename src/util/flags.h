@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -11,8 +12,10 @@
 namespace dace {
 
 // Minimal --key=value command-line parser used by the benchmark and example
-// binaries (we avoid a third-party flags dependency). Unknown keys are
-// accepted; a malformed value of a key the binary reads fails fast.
+// binaries (we avoid a third-party flags dependency). A malformed value of a
+// key the binary reads fails fast; unknown keys are accepted unless the
+// binary opts in to DieOnUnreadKeys. The accessors record which keys were
+// read, so one Flags object is not for concurrent use.
 class Flags {
  public:
   // Parses argv; accepts "--key=value" and "--key value". A bare "--key" is
@@ -29,12 +32,20 @@ class Flags {
   std::string GetString(std::string_view key,
                         std::string_view default_value) const;
 
-  bool Has(std::string_view key) const {
-    return values_.count(std::string(key)) > 0;
-  }
+  bool Has(std::string_view key) const { return Lookup(key) != nullptr; }
+
+  // Opt-in strictness: a DACE_CHECK failure naming every given key that no
+  // accessor above has asked for. Call it once the binary has read all of
+  // its flags, so a stale or misspelled flag fails loudly instead of
+  // silently running the default.
+  void DieOnUnreadKeys() const;
 
  private:
+  // The value of `key`, or nullptr if absent; records `key` as read.
+  const std::string* Lookup(std::string_view key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string, std::less<>> read_;
 };
 
 }  // namespace dace

@@ -91,7 +91,6 @@ TEST(ServeAdaptStressTest, ConcurrentTrafficSwapsAndAdaptationReconcile) {
   }
 
   ServiceConfig sc;
-  sc.max_wait_us = 50;
   sc.feedback.retain_capacity = 64;
   EstimatorService service(&registry, sc);
 

@@ -350,7 +350,6 @@ TEST_F(ServeAdaptationLoopTest, DriftAlarmDrivesFineTuneCanaryPromote) {
       r->GetCounter("serve.adapt.triggered")->Value();
 
   ServiceConfig sc;
-  sc.max_wait_us = 50;
   sc.feedback.retain_capacity = 128;
   // Burn-in of 64: by the time Page-Hinkley is allowed to alarm, at least
   // ~40 drifted executions are already retained, so the triggered cycle has

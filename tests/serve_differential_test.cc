@@ -95,7 +95,6 @@ class ServeDifferentialTest : public ::testing::Test {
     // coalesced batches run on the ISA under test.
     ServiceConfig config;
     config.max_batch = 8;
-    config.max_wait_us = 2000;
 
     // Cache disabled: sequential, then coalesced-concurrent submission.
     {
@@ -158,7 +157,6 @@ class ServeDifferentialTest : public ::testing::Test {
 
     ServiceConfig config;
     config.max_batch = 8;
-    config.max_wait_us = 2000;
     {
       EstimatorService service(&registry_, config);
       ExpectWithinBudget(reference, ServeAll(&service, 1), "sequential");

@@ -232,7 +232,6 @@ TEST_F(ServeFeedbackServiceTest, ConcurrentPredictAndFeedback) {
   // the drift monitor churning underneath. Everything must stay typed and
   // race-free, and predictions/joined/late must reconcile at quiescence.
   ServiceConfig config;
-  config.max_wait_us = 50;
   config.feedback.ledger_capacity = 1 << 10;
   EstimatorService service(&registry_, config);
 

@@ -6,12 +6,16 @@
 //   serve.ok + serve.admission.rejected + serve.deadline.missed
 //     == serve.requests.
 // The soak uses a deliberately tiny admission queue so backpressure is
-// actually exercised (asserted via serve.admission.rejected > 0).
+// actually exercised (asserted via serve.admission.rejected > 0). The
+// deterministic scheduler tests hold requests queued by pausing a tenant's
+// drainer through EstimatorServiceTestPeer, never by waiting on a clock.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,6 +29,32 @@
 #include "serve/service.h"
 
 namespace dace::serve {
+
+// Drives EstimatorService's drainer-pause seam: while paused, a tenant's
+// drainer claims nothing, so admitted requests stay queued for as long as a
+// test needs them to.
+class EstimatorServiceTestPeer {
+ public:
+  static void PauseDrainer(EstimatorService* service,
+                           std::string_view tenant) {
+    service->SetDrainerPaused(tenant, true);
+  }
+  static void ResumeDrainer(EstimatorService* service,
+                            std::string_view tenant) {
+    service->SetDrainerPaused(tenant, false);
+  }
+  static size_t Pending(EstimatorService* service, std::string_view tenant) {
+    return service->PendingRequests(tenant);
+  }
+  // Blocks until at least `n` requests are queued for `tenant`.
+  static void AwaitPending(EstimatorService* service, std::string_view tenant,
+                           size_t n) {
+    while (service->PendingRequests(tenant) < n) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+};
+
 namespace {
 
 struct CounterSnapshot {
@@ -94,7 +124,6 @@ class ServeStressTest : public ::testing::Test {
 TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
   ServiceConfig config;
   config.max_batch = 4;
-  config.max_wait_us = 100;
   config.queue_capacity = 2;  // tiny on purpose: force real backpressure
   EstimatorService service(&registry_, config);
 
@@ -169,15 +198,14 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
   EXPECT_GT(ok.load(), 0u);
 }
 
-// Deterministic backpressure: capacity 1 and a long coalescing window means
-// that while one client occupies the queue slot, at least one of several
-// concurrent others must be refused with kUnavailable.
+// Deterministic backpressure: capacity 1 and a paused drainer means the
+// first admitted request holds the only queue slot, so every other client
+// must be refused with kUnavailable; after the resume the holder succeeds.
 TEST_F(ServeStressTest, BackpressureIsDeterministicWithFullQueue) {
   ServiceConfig config;
-  config.max_batch = 64;  // never flush on size
-  config.max_wait_us = 200000;  // 200ms window: first request parks
   config.queue_capacity = 1;
   EstimatorService service(&registry_, config);
+  EstimatorServiceTestPeer::PauseDrainer(&service, "tenant-0");
 
   constexpr int kClients = 4;
   std::atomic<uint64_t> ok{0}, unavailable{0};
@@ -194,24 +222,25 @@ TEST_F(ServeStressTest, BackpressureIsDeterministicWithFullQueue) {
       }
     });
   }
+  while (unavailable.load() < kClients - 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(ok.load(), 0u);  // the slot holder is still parked
+  EXPECT_EQ(EstimatorServiceTestPeer::Pending(&service, "tenant-0"), 1u);
+  EstimatorServiceTestPeer::ResumeDrainer(&service, "tenant-0");
   for (std::thread& c : clients) c.join();
 
-  // Exactly one slot existed; whoever held it succeeded, and with 4 clients
-  // racing for 1 slot at least one observed it full.
-  EXPECT_GE(ok.load(), 1u);
-  EXPECT_GT(unavailable.load(), 0u);
-  EXPECT_EQ(ok.load() + unavailable.load(), static_cast<uint64_t>(kClients));
+  EXPECT_EQ(ok.load(), 1u);
+  EXPECT_EQ(unavailable.load(), static_cast<uint64_t>(kClients - 1));
 }
 
-// Deterministic deadline miss: the coalescing window is far longer than the
-// request's deadline and no second request arrives to flush the batch, so
-// the deadline must expire while queued.
+// Deterministic deadline miss: the drainer is paused, so the request can
+// only sit in the queue until its deadline expires there.
 TEST_F(ServeStressTest, DeadlineExpiresBeforeDispatch) {
   ServiceConfig config;
-  config.max_batch = 64;
-  config.max_wait_us = 200000;  // 200ms
   config.queue_capacity = 8;
   EstimatorService service(&registry_, config);
+  EstimatorServiceTestPeer::PauseDrainer(&service, "tenant-0");
 
   const CounterSnapshot before = CounterSnapshot::Take();
   const auto result = service.Estimate("tenant-0", plans_[0], /*deadline_us=*/2000);
@@ -220,6 +249,95 @@ TEST_F(ServeStressTest, DeadlineExpiresBeforeDispatch) {
   const CounterSnapshot after = CounterSnapshot::Take();
   EXPECT_EQ(after.deadline_missed - before.deadline_missed, 1u);
   EXPECT_EQ(after.issued - before.issued, 1u);
+  // The expired request removed itself from the queue.
+  EXPECT_EQ(EstimatorServiceTestPeer::Pending(&service, "tenant-0"), 0u);
+}
+
+// Work-conserving coalescing: requests that arrive while the drainer is
+// busy (here: paused, standing in for an in-flight batch) dispatch together
+// as one batch as soon as it is free, and max_batch caps each claim.
+TEST_F(ServeStressTest, CoalescesBehindInFlightBatch) {
+  for (const size_t max_batch : {size_t{64}, size_t{4}}) {
+    SCOPED_TRACE("max_batch=" + std::to_string(max_batch));
+    ServiceConfig config;
+    config.max_batch = max_batch;
+    EstimatorService service(&registry_, config);
+    // Registered (with its bounds) by the service constructor.
+    obs::Histogram* batch_size =
+        obs::MetricsRegistry::Default()->GetHistogram("serve.batch.size", {});
+    EstimatorServiceTestPeer::PauseDrainer(&service, "tenant-0");
+
+    constexpr size_t kRequests = 6;
+    const obs::Histogram::Snapshot before = batch_size->TakeSnapshot();
+    std::atomic<size_t> ok{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kRequests; ++c) {
+      clients.emplace_back([&, c] {
+        if (service.Estimate("tenant-0", plans_[c]).ok()) ok.fetch_add(1);
+      });
+    }
+    EstimatorServiceTestPeer::AwaitPending(&service, "tenant-0", kRequests);
+    EstimatorServiceTestPeer::ResumeDrainer(&service, "tenant-0");
+    for (std::thread& c : clients) c.join();
+    const obs::Histogram::Snapshot after = batch_size->TakeSnapshot();
+
+    EXPECT_EQ(ok.load(), kRequests);
+    EXPECT_EQ(after.sum - before.sum, static_cast<double>(kRequests));
+    // One batch of 6 under the default cap; 4 + 2 under max_batch = 4.
+    EXPECT_EQ(after.count - before.count,
+              (kRequests + max_batch - 1) / max_batch);
+  }
+}
+
+// The per-request latency ledger: queue wait + batch + wake is computed from
+// the same stamps as serve.request.latency_us, so the stage sums reconcile
+// with the end-to-end sum, and every OK request lands in every stage.
+TEST_F(ServeStressTest, StageLatenciesSumToRequestLatency) {
+  obs::MetricsRegistry* r = obs::MetricsRegistry::Default();
+  const char* kStages[] = {"serve.stage.queue_wait.latency_us",
+                           "serve.stage.batch.latency_us",
+                           "serve.stage.wake.latency_us"};
+  auto take = [&](const char* name) {
+    return r->GetHistogram(name, obs::LatencyBucketsUs())->TakeSnapshot();
+  };
+  obs::Histogram::Snapshot stage_before[3];
+  for (int s = 0; s < 3; ++s) stage_before[s] = take(kStages[s]);
+  const obs::Histogram::Snapshot request_before =
+      take("serve.request.latency_us");
+  const CounterSnapshot before = CounterSnapshot::Take();
+
+  {
+    EstimatorService service(&registry_);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < 40; ++i) {
+          const plan::QueryPlan& plan =
+              plans_[static_cast<size_t>(c * 7 + i) % plans_.size()];
+          EXPECT_TRUE(service.Estimate(TenantName(c % 2), plan).ok());
+        }
+      });
+    }
+    for (std::thread& c : clients) c.join();
+  }
+
+  const CounterSnapshot after = CounterSnapshot::Take();
+  const obs::Histogram::Snapshot request_after =
+      take("serve.request.latency_us");
+  const uint64_t ok = after.ok - before.ok;
+  ASSERT_EQ(ok, 120u);
+  EXPECT_EQ(request_after.count - request_before.count, ok);
+  double stage_sum = 0.0;
+  for (int s = 0; s < 3; ++s) {
+    const obs::Histogram::Snapshot stage_after = take(kStages[s]);
+    EXPECT_EQ(stage_after.count - stage_before[s].count, ok) << kStages[s];
+    const double sum = stage_after.sum - stage_before[s].sum;
+    EXPECT_GE(sum, 0.0) << kStages[s];
+    stage_sum += sum;
+  }
+  const double request_sum = request_after.sum - request_before.sum;
+  EXPECT_GT(request_sum, 0.0);
+  EXPECT_NEAR(stage_sum, request_sum, 1e-9 * request_sum + 1e-6);
 }
 
 // An already-expired deadline is refused immediately, before queueing.

@@ -203,6 +203,23 @@ TEST(FlagsTest, MalformedValuesDieNamingKeyAndValue) {
   EXPECT_EQ(flags->GetInt("missing", 7), 7);
 }
 
+// Opt-in strictness: a flag the binary never read (a retired option, a
+// typo) dies naming it instead of silently running the default.
+TEST(FlagsTest, DieOnUnreadKeysNamesEveryUnreadKey) {
+  const char* argv[] = {"prog", "--clients=2", "--json=out.json",
+                        "--max-wait-us=200", "--epcohs=3"};
+  auto flags = Flags::Parse(5, const_cast<char**>(argv));
+  ASSERT_TRUE(flags.ok());
+  EXPECT_EQ(flags->GetInt("clients", 8), 2);
+  EXPECT_TRUE(flags->Has("json"));
+  EXPECT_EQ(flags->GetInt("epochs", 1), 1);  // read but absent
+  EXPECT_DEATH(flags->DieOnUnreadKeys(),
+               "unknown flag.*--epcohs --max-wait-us");
+  (void)flags->GetInt("max-wait-us", 0);
+  (void)flags->GetInt("epcohs", 0);
+  flags->DieOnUnreadKeys();  // everything read: no death
+}
+
 // ---------------------------------------------------------------- Rng ----
 
 TEST(RngTest, DeterministicForSeed) {

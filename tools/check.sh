@@ -65,7 +65,10 @@
 #                     back with the incumbent's predictions bit-identical.
 #  11. bench-serve  — the closed-loop serving load generator; writes
 #                     BENCH_serve.json as the committed throughput/latency
-#                     record for the coalescing scheduler. The same run
+#                     record for the work-conserving coalescing scheduler
+#                     and gates it: p50 latency < 200 us (the fixed
+#                     coalescing timer it replaced) and throughput >= 1.5x
+#                     the last timer-era record (23822 req/s). The same run
 #                     serves live Prometheus text on an ephemeral
 #                     --metrics-port and lingers after the load; the smoke
 #                     scrapes it once and validates the exposition format
@@ -257,7 +260,7 @@ print(f"    {int(soak['promoted'])} candidate(s) promoted, generation "
 print(f"    forced-regression canary rolled back, incumbent bit-identical")
 EOF
 
-echo "==> [11/13] serving load generator + live exposition smoke"
+echo "==> [11/13] serving load generator + live exposition smoke + gates"
 rm -f /tmp/bench_serve_expo.log
 ./build/bench/bench_serve --json=BENCH_serve.json --metrics-port=0 \
   --linger-ms=30000 >/tmp/bench_serve_expo.log 2>&1 &
@@ -334,6 +337,29 @@ EOF
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 trap - EXIT
+python3 - <<'EOF'
+import json, sys
+
+load = {r["name"]: r for r in json.load(open("BENCH_serve.json"))["records"]}.get("serve_load")
+if load is None:
+    sys.exit("FAIL: serve_load record missing from BENCH_serve.json")
+failures = []
+# Work-conserving batching: a request waits only behind the batch in flight,
+# so the median must sit below the 200 us coalescing timer it replaced.
+if load["latency_p50_us"] >= 200.0:
+    failures.append(f"serving p50 {load['latency_p50_us']:.1f} us >= 200 us")
+# ...and throughput must clear the last timer-era record by 1.5x.
+floor = 1.5 * 23822.0
+if load["throughput_qps"] < floor:
+    failures.append(f"serving throughput {load['throughput_qps']:.0f} req/s "
+                    f"< {floor:.0f} (1.5x the timer-era 23822)")
+if failures:
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    sys.exit(1)
+print(f"    latency_p50_us  {load['latency_p50_us']:.1f} (< 200)")
+print(f"    throughput_qps  {load['throughput_qps']:.0f} (>= {floor:.0f})")
+EOF
 
 echo "==> [12/13] microbenchmarks + speedup/overhead gates (writes BENCH_micro.json)"
 ./build/bench/bench_micro --json=BENCH_micro.json --benchmark_min_time=0.5
