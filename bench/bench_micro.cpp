@@ -181,17 +181,58 @@ void BM_DaceEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_DaceEncode);
 
-void BM_OptimizerBuildPlan(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  const engine::Optimizer optimizer(&f.db);
-  const auto specs =
-      engine::GenerateQueries(f.db, engine::WorkloadKind::kComplex, 32, 3);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimizer.BuildPlan(specs[i++ % specs.size()]));
-  }
+// The fixed query mix of the optimizer benchmarks: kComplex queries on the
+// fixture's IMDB-like database. One iteration of each benchmark below covers
+// the whole mix, so both price exactly the same queries.
+const std::vector<engine::QuerySpec>& OptimizerMix() {
+  static const auto* specs = new std::vector<engine::QuerySpec>(
+      engine::GenerateQueries(GetFixture().db, engine::WorkloadKind::kComplex,
+                              64, 3));
+  return *specs;
 }
-BENCHMARK(BM_OptimizerBuildPlan);
+
+// Total candidates EnumerateCandidates keeps over the mix.
+size_t OptimizerMixCandidates() {
+  const engine::Optimizer optimizer(&GetFixture().db);
+  size_t kept = 0;
+  for (const auto& spec : OptimizerMix()) {
+    kept += optimizer.EnumerateCandidates(spec).size();
+  }
+  return kept;
+}
+
+void BM_BuildPlan(benchmark::State& state) {
+  const engine::Optimizer optimizer(&GetFixture().db);
+  const auto& specs = OptimizerMix();
+  for (auto _ : state) {
+    for (const auto& spec : specs) {
+      benchmark::DoNotOptimize(optimizer.BuildPlan(spec));
+    }
+  }
+  state.counters["queries"] = static_cast<double>(specs.size());
+}
+BENCHMARK(BM_BuildPlan);
+
+// Candidate enumeration, per query in the counters: builds, structural-key
+// dedup and the candidate vector. Its ratio to BM_BuildPlan, per kept
+// candidate, is the derived record enumerate_per_candidate_vs_build.
+void BM_EnumerateCandidates(benchmark::State& state) {
+  const engine::Optimizer optimizer(&GetFixture().db);
+  const auto& specs = OptimizerMix();
+  for (auto _ : state) {
+    for (const auto& spec : specs) {
+      benchmark::DoNotOptimize(optimizer.EnumerateCandidates(spec));
+    }
+  }
+  const double queries = static_cast<double>(specs.size());
+  state.counters["queries"] = queries;
+  state.counters["candidates_per_query"] =
+      static_cast<double>(OptimizerMixCandidates()) / queries;
+  state.counters["s_per_query"] = benchmark::Counter(
+      queries, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EnumerateCandidates);
 
 void BM_SimulateExecution(benchmark::State& state) {
   Fixture& f = GetFixture();
@@ -605,7 +646,9 @@ void BM_PredictAllIntoWarm(benchmark::State& state) {
   state.counters["allocs/call"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_PredictAllIntoWarm);
+// Repeated so obs_overhead_pct compares medians: a single run of either
+// side moves by more than the overhead it is meant to show.
+BENCHMARK(BM_PredictAllIntoWarm)->Repetitions(5);
 
 // The same warm forward wrapped in the full observability kit — an enabled
 // trace span plus a registry counter — with tracing ON. The derived record
@@ -641,12 +684,20 @@ void BM_PredictAllIntoWarmObs(benchmark::State& state) {
   state.counters["allocs/call"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_PredictAllIntoWarmObs);
+BENCHMARK(BM_PredictAllIntoWarmObs)->Repetitions(5);
 
-// Per-iteration real seconds by benchmark name, for the derived ratios.
+// Per-iteration real seconds by benchmark name (without the "/repeats:N"
+// part), for the derived ratios: the median over a benchmark's repetitions,
+// or its only run.
 std::map<std::string, double>& CapturedSeconds() {
   static auto* m = new std::map<std::string, double>();
   return *m;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
 }
 
 // Console output as usual, plus one JSON record per run into the shared
@@ -672,10 +723,18 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
       for (const auto& [cname, counter] : run.counters) {
         rec.Num(cname, counter.value);
       }
-      CapturedSeconds()[run.benchmark_name()] = secs;
+      benchmark::BenchmarkName key = run.run_name;
+      key.repetitions.clear();
+      std::vector<double>& reps = repetition_seconds_[key.str()];
+      reps.push_back(secs);
+      CapturedSeconds()[key.str()] = Median(reps);
     }
     ConsoleReporter::ReportRuns(reports);
   }
+
+ private:
+  // Per-iteration real seconds of every run so far, by CapturedSeconds key.
+  std::map<std::string, std::vector<double>> repetition_seconds_;
 };
 
 // speedup = t(baseline) / t(contender), recorded only when both ran (e.g.
@@ -732,6 +791,29 @@ void AddTieredQErrorRecord() {
       .Num("budget", 1.05);
   std::printf("%-32s %.4f (tiered %.3f / teacher %.3f, budget 1.05)\n",
               "tiered_qerror_budget", ratio, tiered_q, teacher_q);
+}
+
+// Enumeration time per kept candidate over BuildPlan time per plan, on the
+// same query mix in the same run, so host speed cancels out.
+void AddPerCandidateRecord(const char* record_name) {
+  const auto& secs = CapturedSeconds();
+  const auto e = secs.find("BM_EnumerateCandidates");
+  const auto b = secs.find("BM_BuildPlan");
+  if (e == secs.end() || b == secs.end() || b->second <= 0.0) return;
+  const double queries = static_cast<double>(OptimizerMix().size());
+  const double candidates = static_cast<double>(OptimizerMixCandidates());
+  const double enumerate_per_candidate = e->second / candidates;
+  const double build_per_plan = b->second / queries;
+  const double ratio = enumerate_per_candidate / build_per_plan;
+  dace::bench::Json()
+      .Add(record_name)
+      .Num("enumerate_us_per_candidate", enumerate_per_candidate * 1e6)
+      .Num("build_us_per_plan", build_per_plan * 1e6)
+      .Num("candidates_per_query", candidates / queries)
+      .Num("ratio", ratio);
+  std::printf("%-32s %.2f (%.2f us per kept candidate / %.2f us per build)\n",
+              record_name, ratio, enumerate_per_candidate * 1e6,
+              build_per_plan * 1e6);
 }
 
 // overhead% = (t(instrumented) / t(baseline) - 1) * 100, recorded only when
@@ -821,6 +903,7 @@ int main(int argc, char** argv) {
   AddTieredQErrorRecord();
   AddOverheadRecord("obs_overhead_pct", "BM_PredictAllIntoWarm",
                     "BM_PredictAllIntoWarmObs");
+  AddPerCandidateRecord("enumerate_per_candidate_vs_build");
   AddAddedCostRecord("feedback_overhead_pct", "BM_PredictBatchTieredAuto",
                      "BM_FeedbackRecordPrediction");
   const bool ok = dace::bench::Json().WriteIfRequested();

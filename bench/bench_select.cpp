@@ -10,6 +10,9 @@
 //   ./bench_select [--select_queries=48] [--train_queries=400] [--epochs=4]
 //       [--num_databases=6] [--queries_per_db=60] [--max_candidates=32]
 //       [--max_join_orders=6] [--json=BENCH_select.json]
+//
+// An unknown flag (say, a misspelled --max_candidates) aborts naming it
+// instead of silently running the default.
 
 #include <algorithm>
 #include <cmath>
@@ -90,6 +93,7 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("max_candidates", 32));
   candidate_options.max_join_orders =
       static_cast<int>(flags.GetInt("max_join_orders", 6));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader(
       "Plan-selection quality — regret of the chosen plan vs the best "

@@ -65,11 +65,53 @@ bool ConnectsToJoined(const Database& db, const QuerySpec& spec,
   return false;
 }
 
+// The access path a scan takes, decided on ESTIMATES like a real optimizer:
+// `forced` when it applies, the selectivity heuristic under kAuto. An index
+// path needs a filter on an indexed column; an inapplicable forcing degrades
+// to the sequential scan. Never returns kAuto. `filters` carry their
+// estimated selectivities and `est_sel` is their estimated conjunction.
+AccessPathChoice EffectiveAccessPath(
+    const Table& table, const std::vector<plan::FilterPredicate>& filters,
+    double est_sel, AccessPathChoice forced) {
+  bool can_index = false;
+  for (const plan::FilterPredicate& f : filters) {
+    if (table.columns[static_cast<size_t>(f.column_id)].indexed) {
+      can_index = true;
+      break;
+    }
+  }
+  switch (forced) {
+    case AccessPathChoice::kSeqScan:
+      return AccessPathChoice::kSeqScan;
+    case AccessPathChoice::kIndexScan:
+    case AccessPathChoice::kBitmapScan:
+      return can_index ? forced : AccessPathChoice::kSeqScan;
+    case AccessPathChoice::kAuto:
+      break;
+  }
+  if (can_index && est_sel < 0.002) return AccessPathChoice::kIndexScan;
+  if (can_index && est_sel < 0.05) return AccessPathChoice::kBitmapScan;
+  return AccessPathChoice::kSeqScan;
+}
+
 }  // namespace
 
 const core::PlanChoiceEstimator& Optimizer::NativeScorer() {
   static const NativeCostChoice* scorer = new NativeCostChoice();
   return *scorer;
+}
+
+Optimizer::ScanEstimate Optimizer::EstimateScan(const TableRef& ref) const {
+  // Annotate each predicate with the optimizer's estimate (EXPLAIN shows
+  // per-qual selectivities implicitly through row counts).
+  ScanEstimate estimate;
+  estimate.filters = ref.filters;
+  for (plan::FilterPredicate& f : estimate.filters) {
+    f.est_selectivity = selectivity_.EstimatedPredicate(ref.table_id, f);
+  }
+  estimate.est_sel =
+      selectivity_.EstimatedConjunction(ref.table_id, estimate.filters);
+  return estimate;
 }
 
 Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
@@ -78,45 +120,17 @@ Optimizer::SubPlan Optimizer::BuildScan(const TableRef& ref,
   const Table& table = db_->tables[static_cast<size_t>(ref.table_id)];
   const double rows = static_cast<double>(table.row_count);
 
-  // Annotate each predicate with the optimizer's estimate (EXPLAIN shows
-  // per-qual selectivities implicitly through row counts).
-  std::vector<plan::FilterPredicate> filters = ref.filters;
-  for (plan::FilterPredicate& f : filters) {
-    f.est_selectivity = selectivity_.EstimatedPredicate(ref.table_id, f);
-  }
-
-  const double est_sel = selectivity_.EstimatedConjunction(ref.table_id, filters);
+  ScanEstimate estimate = EstimateScan(ref);
+  std::vector<plan::FilterPredicate>& filters = estimate.filters;
+  const double est_sel = estimate.est_sel;
   const double true_sel = selectivity_.TrueConjunction(ref.table_id, filters);
   const double est_card = ClampCard(rows * est_sel);
   const double act_card = ClampCard(rows * true_sel);
 
-  // Access-path choice on ESTIMATES, like a real optimizer. An index path
-  // can only be taken (chosen or forced) when a filtered column is indexed;
-  // an inapplicable forcing degrades to the sequential scan.
-  bool any_indexed = false;
-  for (const plan::FilterPredicate& f : filters) {
-    if (table.columns[static_cast<size_t>(f.column_id)].indexed) {
-      any_indexed = true;
-      break;
-    }
-  }
-  const bool can_index = !filters.empty() && any_indexed;
-  bool use_index = false;
-  bool use_bitmap = false;
-  switch (forced) {
-    case AccessPathChoice::kSeqScan:
-      break;
-    case AccessPathChoice::kIndexScan:
-      use_index = can_index;
-      break;
-    case AccessPathChoice::kBitmapScan:
-      use_bitmap = can_index;
-      break;
-    case AccessPathChoice::kAuto:
-      use_index = can_index && est_sel < 0.002;
-      use_bitmap = !use_index && can_index && est_sel < 0.05;
-      break;
-  }
+  const AccessPathChoice path =
+      EffectiveAccessPath(table, filters, est_sel, forced);
+  const bool use_index = path == AccessPathChoice::kIndexScan;
+  const bool use_bitmap = path == AccessPathChoice::kBitmapScan;
 
   CostInputs in;
   in.table_rows = rows;
@@ -246,6 +260,7 @@ Optimizer::SubPlan Optimizer::BuildJoin(const SubPlan& left,
                                         const JoinEdge& edge,
                                         double parent_true_sel,
                                         JoinMethodChoice forced,
+                                        JoinMethodChoice* built,
                                         QueryPlan* plan) const {
   SubPlan right = BuildScan(right_ref, right_forced, plan);
 
@@ -278,6 +293,7 @@ Optimizer::SubPlan Optimizer::BuildJoin(const SubPlan& left,
              : balanced_large              ? JoinMethodChoice::kMergeJoin
                                            : JoinMethodChoice::kHashJoin;
   }
+  if (built != nullptr) *built = method;
 
   if (method == JoinMethodChoice::kNestedLoop) {
     // Nested loop; materialize a non-trivial inner to avoid rescans.
@@ -338,11 +354,18 @@ QueryPlan Optimizer::BuildPlan(const QuerySpec& spec) const {
   return BuildPlanWithDecisions(spec, PlanDecisions{});
 }
 
-QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
-                                            const PlanDecisions& decisions) const {
+QueryPlan Optimizer::BuildPlanWithDecisions(
+    const QuerySpec& spec, const PlanDecisions& decisions,
+    std::vector<JoinMethodChoice>* built_methods) const {
   DACE_CHECK_OK(ValidateSpec(*db_, spec));
   QueryPlan plan;
   const size_t num_tables = spec.tables.size();
+  if (built_methods != nullptr) {
+    built_methods->assign(spec.join_edge_ids.size(), JoinMethodChoice::kAuto);
+  }
+  const auto built_slot = [&](size_t step) {
+    return built_methods != nullptr ? &(*built_methods)[step] : nullptr;
+  };
 
   // Per-table true conjunction selectivity, for join correlation boosts.
   std::vector<double> true_sels(num_tables, 1.0);
@@ -386,7 +409,7 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
           db_->join_edges[static_cast<size_t>(spec.join_edge_ids[k])];
       current = BuildJoin(current, spec.tables[k + 1], path_of(k + 1), edge,
                           true_sel_of_table(edge.to_table), method_of(k),
-                          &plan);
+                          built_slot(k), &plan);
     }
   } else {
     // Reordered left-deep build: join tables in `table_order`, attaching
@@ -419,7 +442,7 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
           spec.join_edge_ids[static_cast<size_t>(edge_slot)])];
       current = BuildJoin(current, spec.tables[pos], path_of(k), edge,
                           true_sel_of_table(edge.to_table), method_of(k - 1),
-                          &plan);
+                          built_slot(k - 1), &plan);
       joined_ids.push_back(next_id);
     }
   }
@@ -464,27 +487,42 @@ QueryPlan Optimizer::BuildPlanWithDecisions(const QuerySpec& spec,
 std::vector<QueryPlan> Optimizer::EnumerateCandidates(
     const QuerySpec& spec, const CandidateOptions& options) const {
   std::vector<QueryPlan> out;
+  // Structural keys of the kept candidates; `key` is the one buffer every
+  // attempt builds its key in (equal keys <=> equal ToText(), plan.h).
   std::set<std::string> seen;
+  std::string key;
   // Returns true when the decisions produced a structurally new candidate.
-  const auto add = [&](const PlanDecisions& decisions) {
+  const auto add = [&](const PlanDecisions& decisions,
+                       std::vector<JoinMethodChoice>* built = nullptr) {
     if (static_cast<int>(out.size()) >= options.max_candidates) return false;
-    QueryPlan plan = BuildPlanWithDecisions(spec, decisions);
-    if (!seen.insert(plan.ToText()).second) return false;
+    QueryPlan plan = BuildPlanWithDecisions(spec, decisions, built);
+    key.clear();
+    plan.AppendStructuralKey(&key);
+    if (!seen.insert(key).second) return false;
     out.push_back(std::move(plan));
     return true;
   };
 
-  // Candidate 0: the classic heuristic plan.
-  add(PlanDecisions{});
+  // Candidate 0: the classic heuristic plan, reporting the join method it
+  // built at each step.
+  std::vector<JoinMethodChoice> heuristic_methods;
+  add(PlanDecisions{}, &heuristic_methods);
 
   const size_t num_tables = spec.tables.size();
   const size_t num_joins = spec.join_edge_ids.size();
 
-  // Single-slot join-method perturbations on the spec's own order.
+  // Single-slot perturbations on the spec's own order. A forcing whose
+  // effective decision equals the heuristic's at that slot rebuilds
+  // candidate 0 byte for byte (every other slot is kAuto and no slot's
+  // decision feeds another's), so it is skipped unbuilt: the key dedup
+  // would drop it anyway.
   for (size_t j = 0; j < num_joins; ++j) {
     for (const JoinMethodChoice method :
          {JoinMethodChoice::kNestedLoop, JoinMethodChoice::kHashJoin,
           JoinMethodChoice::kMergeJoin}) {
+      if (j < heuristic_methods.size() && heuristic_methods[j] == method) {
+        continue;
+      }
       PlanDecisions decisions;
       decisions.join_methods.assign(num_joins, JoinMethodChoice::kAuto);
       decisions.join_methods[j] = method;
@@ -492,11 +530,22 @@ std::vector<QueryPlan> Optimizer::EnumerateCandidates(
     }
   }
 
-  // Single-slot access-path perturbations (slot k = k-th scanned table).
+  // Access-path perturbations (slot k = k-th scanned table). On a table with
+  // no filter on an indexed column every forcing degrades to the heuristic's
+  // sequential scan, so none is built.
   for (size_t t = 0; t < num_tables; ++t) {
+    const TableRef& ref = spec.tables[t];
+    const Table& table = db_->tables[static_cast<size_t>(ref.table_id)];
+    const ScanEstimate estimate = EstimateScan(ref);
+    const AccessPathChoice heuristic_path = EffectiveAccessPath(
+        table, estimate.filters, estimate.est_sel, AccessPathChoice::kAuto);
     for (const AccessPathChoice path :
          {AccessPathChoice::kSeqScan, AccessPathChoice::kIndexScan,
           AccessPathChoice::kBitmapScan}) {
+      if (EffectiveAccessPath(table, estimate.filters, estimate.est_sel,
+                              path) == heuristic_path) {
+        continue;
+      }
       PlanDecisions decisions;
       decisions.access_paths.assign(num_tables, AccessPathChoice::kAuto);
       decisions.access_paths[t] = path;

@@ -92,14 +92,18 @@ class Optimizer {
   // BuildPlan with forced choices. Out-of-range/inapplicable forcings fall
   // back to the classic decision for that slot (an index scan cannot be
   // forced onto a table with no indexed filtered column), so every
-  // decisions value yields a valid plan.
-  plan::QueryPlan BuildPlanWithDecisions(const QuerySpec& spec,
-                                         const PlanDecisions& decisions) const;
+  // decisions value yields a valid plan. When `built_methods` is non-null
+  // it receives, per join step, the method actually built (never kAuto).
+  plan::QueryPlan BuildPlanWithDecisions(
+      const QuerySpec& spec, const PlanDecisions& decisions,
+      std::vector<JoinMethodChoice>* built_methods = nullptr) const;
 
   // Deterministic bounded candidate set for `spec`. Candidate 0 is always
   // the classic BuildPlan result; the rest are single-slot join-method and
   // access-path perturbations plus alternative connected left-deep join
-  // orders, deduplicated structurally. Every candidate validates.
+  // orders, deduplicated structurally (QueryPlan::AppendStructuralKey).
+  // Perturbations whose effective decision is the heuristic's own are
+  // never built. Every candidate validates.
   std::vector<plan::QueryPlan> EnumerateCandidates(
       const QuerySpec& spec,
       const CandidateOptions& options = CandidateOptions()) const;
@@ -128,15 +132,24 @@ class Optimizer {
     double est_cost = 0.0;  // inclusive
   };
 
+  // A table ref's filters annotated with the optimizer's per-predicate
+  // selectivity estimates, and their estimated conjunction.
+  struct ScanEstimate {
+    std::vector<plan::FilterPredicate> filters;
+    double est_sel = 1.0;
+  };
+  ScanEstimate EstimateScan(const TableRef& ref) const;
+
   // Builds the access path for one table ref.
   SubPlan BuildScan(const TableRef& ref, AccessPathChoice forced,
                     plan::QueryPlan* plan) const;
 
-  // Joins `left` with a fresh scan of `right_ref` along `edge`.
+  // Joins `left` with a fresh scan of `right_ref` along `edge`; `built`
+  // (nullable) receives the join method actually built.
   SubPlan BuildJoin(const SubPlan& left, const TableRef& right_ref,
                     AccessPathChoice right_forced, const JoinEdge& edge,
                     double parent_true_sel, JoinMethodChoice forced,
-                    plan::QueryPlan* plan) const;
+                    JoinMethodChoice* built, plan::QueryPlan* plan) const;
 
   // Appends a unary node on top of `input`.
   SubPlan AddUnary(plan::OperatorType type, const SubPlan& input,

@@ -231,10 +231,61 @@ std::string QueryPlan::ToText() const {
   return out;
 }
 
+namespace {
+
+// Appends the object representation of `value`; for a double that is its
+// bit pattern, so -0.0 and 0.0 differ exactly as their %.17g texts do.
+template <typename T>
+void AppendBytes(T value, std::string* out) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  out->append(bytes, sizeof(T));
+}
+
+// Mirrors AppendNodeText field for field. Every field's presence is decided
+// by fields written before it, so the encoding is prefix-free and the key
+// determines the text (and, for finite doubles, vice versa). The child count
+// stands in for the text's indentation: preorder plus arity fixes the shape.
+void AppendNodeKey(const QueryPlan& plan, int32_t id, std::string* out) {
+  const PlanNode& node = plan.node(id);
+  AppendBytes(static_cast<uint8_t>(node.type), out);
+  AppendBytes(static_cast<uint32_t>(node.children.size()), out);
+  AppendBytes(node.est_cardinality, out);
+  AppendBytes(node.est_cost, out);
+  AppendBytes(node.actual_cardinality, out);
+  AppendBytes(node.actual_time_ms, out);
+  // ToText prints no negative table id, so every negative id keys as -1.
+  const NodeAnnotation& a = node.annotation;
+  AppendBytes(std::max<int32_t>(a.table_id, -1), out);
+  if (a.table_id >= 0) AppendBytes(a.table_rows, out);
+  AppendBytes(std::max<int32_t>(a.left_table, -1), out);
+  if (a.left_table >= 0) {
+    AppendBytes(a.left_column, out);
+    AppendBytes(a.right_table, out);
+    AppendBytes(a.right_column, out);
+  }
+  AppendBytes(static_cast<uint32_t>(a.filters.size()), out);
+  for (const FilterPredicate& f : a.filters) {
+    AppendBytes(f.column_id, out);
+    AppendBytes(static_cast<uint8_t>(f.op), out);
+    AppendBytes(f.literal, out);
+    AppendBytes(f.est_selectivity, out);
+  }
+  for (int32_t child : node.children) AppendNodeKey(plan, child, out);
+}
+
+}  // namespace
+
+void QueryPlan::AppendStructuralKey(std::string* out) const {
+  if (root_ >= 0) AppendNodeKey(*this, root_, out);
+}
+
 bool QueryPlan::operator==(const QueryPlan& other) const {
-  // Structural equality: the text form canonicalizes node order via DFS, so
-  // two plans with different internal node numbering still compare equal.
-  return ToText() == other.ToText();
+  std::string key;
+  std::string other_key;
+  AppendStructuralKey(&key);
+  other.AppendStructuralKey(&other_key);
+  return key == other_key;
 }
 
 StatusOr<QueryPlan> ParsePlanText(std::string_view text) {

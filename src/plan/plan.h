@@ -141,6 +141,18 @@ class QueryPlan {
   // EXPLAIN-like indented text form (stable, parseable by ParsePlanText).
   std::string ToText() const;
 
+  // Appends a compact binary preorder key of the plan to `out`: per node its
+  // type, child count, the four metric doubles by bit pattern, and the
+  // annotation fields under the same conditions ToText prints them. ToText
+  // prints every double with %.17g, which round-trips each non-NaN value
+  // exactly and tells -0 from 0, so two keys are equal iff the two ToText()
+  // strings are equal, for every valid plan without NaN fields (every plan
+  // ParsePlanText accepts and every plan the optimizer builds). Appending
+  // lets a caller reuse one buffer across many plans.
+  void AppendStructuralKey(std::string* out) const;
+
+  // Structural equality (equal structural keys): plans with different
+  // internal node numbering but the same preorder form compare equal.
   bool operator==(const QueryPlan& other) const;
 
  private:

@@ -46,10 +46,15 @@ std::string StrFormat(const char* format, ...) {
   va_start(args, format);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, format, args);
+  // One pass into a stack buffer covers nearly every call; only output that
+  // does not fit pays a second, exactly sized pass.
+  char buffer[256];
+  const int needed = std::vsnprintf(buffer, sizeof(buffer), format, args);
   va_end(args);
   std::string out;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buffer)) {
+    out.assign(buffer, static_cast<size_t>(needed));
+  } else if (needed > 0) {
     out.resize(static_cast<size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, format, args_copy);
   }

@@ -271,5 +271,130 @@ TEST_F(PlanChoiceTest, AlternativeJoinOrdersAreConnectedAndBounded) {
   }
 }
 
+// Reference enumeration: the candidate loop of EnumerateCandidates written
+// the plain way, building every forcing and deduplicating on the ToText() of
+// the finished plan. Returns the kept candidates' texts in emission order.
+std::vector<std::string> ReferenceCandidateTexts(
+    const Optimizer& optimizer, const Database& db, const QuerySpec& spec,
+    const CandidateOptions& options) {
+  std::vector<std::string> out;
+  std::set<std::string> seen;
+  const auto add = [&](const PlanDecisions& decisions) {
+    if (static_cast<int>(out.size()) >= options.max_candidates) return false;
+    std::string text = optimizer.BuildPlanWithDecisions(spec, decisions).ToText();
+    if (!seen.insert(text).second) return false;
+    out.push_back(std::move(text));
+    return true;
+  };
+  add(PlanDecisions{});
+  const size_t num_tables = spec.tables.size();
+  const size_t num_joins = spec.join_edge_ids.size();
+  for (size_t j = 0; j < num_joins; ++j) {
+    for (const JoinMethodChoice method :
+         {JoinMethodChoice::kNestedLoop, JoinMethodChoice::kHashJoin,
+          JoinMethodChoice::kMergeJoin}) {
+      PlanDecisions decisions;
+      decisions.join_methods.assign(num_joins, JoinMethodChoice::kAuto);
+      decisions.join_methods[j] = method;
+      add(decisions);
+    }
+  }
+  for (size_t t = 0; t < num_tables; ++t) {
+    for (const AccessPathChoice path :
+         {AccessPathChoice::kSeqScan, AccessPathChoice::kIndexScan,
+          AccessPathChoice::kBitmapScan}) {
+      PlanDecisions decisions;
+      decisions.access_paths.assign(num_tables, AccessPathChoice::kAuto);
+      decisions.access_paths[t] = path;
+      add(decisions);
+    }
+  }
+  // Connected left-deep orders in lexicographic position order, identity
+  // excluded, at most max_join_orders - 1 of them kept.
+  const auto connects = [&](int32_t table_id,
+                            const std::vector<int32_t>& joined) {
+    for (const int32_t edge_id : spec.join_edge_ids) {
+      const JoinEdge& edge = db.join_edges[static_cast<size_t>(edge_id)];
+      for (const int32_t j : joined) {
+        if ((edge.from_table == j && edge.to_table == table_id) ||
+            (edge.to_table == j && edge.from_table == table_id)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  if (num_tables > 2 && options.max_join_orders > 1) {
+    int budget = options.max_join_orders - 1;
+    std::vector<int32_t> order;
+    std::vector<bool> taken(num_tables, false);
+    std::vector<int32_t> placed_ids;
+    const auto dfs = [&](const auto& self) -> void {
+      if (budget <= 0 ||
+          static_cast<int>(out.size()) >= options.max_candidates) {
+        return;
+      }
+      if (order.size() == num_tables) {
+        bool identity = true;
+        for (size_t k = 0; k < num_tables; ++k) {
+          identity &= order[k] == static_cast<int32_t>(k);
+        }
+        if (!identity) {
+          PlanDecisions decisions;
+          decisions.table_order = order;
+          if (add(decisions)) --budget;
+        }
+        return;
+      }
+      for (size_t pos = 0; pos < num_tables; ++pos) {
+        if (taken[pos]) continue;
+        const int32_t table_id = spec.tables[pos].table_id;
+        if (!order.empty() && !connects(table_id, placed_ids)) continue;
+        taken[pos] = true;
+        order.push_back(static_cast<int32_t>(pos));
+        placed_ids.push_back(table_id);
+        self(self);
+        placed_ids.pop_back();
+        order.pop_back();
+        taken[pos] = false;
+      }
+    };
+    dfs(dfs);
+  }
+  return out;
+}
+
+// Guard for the text-free enumeration: deduplicating on structural keys and
+// skipping forcings that rebuild the heuristic plan must emit exactly the
+// candidates, in exactly the order, that text deduplication of every build
+// emits, on both schemas, at the default cap and at a tight one.
+TEST(PlanChoiceIdentityTest, KeyDedupMatchesTextDedupOfEveryBuild) {
+  CandidateOptions tight;
+  tight.max_candidates = 8;
+  int compared = 0;
+  for (const Database& db : {BuildTpchLike(42), BuildImdbLike(43)}) {
+    const Optimizer optimizer(&db);
+    const std::vector<QuerySpec> specs =
+        GenerateQueries(db, WorkloadKind::kComplex, 500, 77);
+    for (const CandidateOptions& options : {CandidateOptions(), tight}) {
+      for (size_t q = 0; q < specs.size(); ++q) {
+        const std::vector<std::string> want =
+            ReferenceCandidateTexts(optimizer, db, specs[q], options);
+        const std::vector<QueryPlan> got =
+            optimizer.EnumerateCandidates(specs[q], options);
+        ASSERT_EQ(got.size(), want.size())
+            << db.name << " query " << q << " cap " << options.max_candidates;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].ToText(), want[i])
+              << db.name << " query " << q << " candidate " << i << " cap "
+              << options.max_candidates;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2000);
+}
+
 }  // namespace
 }  // namespace dace::engine

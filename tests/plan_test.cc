@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -281,6 +284,149 @@ TEST(PlanTextTest, ParseRejectsMultipleRoots) {
 
 TEST(PlanTextTest, ParseRejectsUnknownOperator) {
   EXPECT_FALSE(ParsePlanText("Flux Scan (rows=1 cost=1 arows=1 ams=1)").ok());
+}
+
+// --- Structural key: key equality <=> ToText() equality ------------------
+
+std::string KeyOf(const QueryPlan& plan) {
+  std::string key;
+  plan.AppendStructuralKey(&key);
+  return key;
+}
+
+// Asserts that the key, operator== and the text form all agree on whether
+// `a` and `b` are the same plan, and returns that verdict.
+bool SamePlan(const QueryPlan& a, const QueryPlan& b) {
+  const bool same_text = a.ToText() == b.ToText();
+  EXPECT_EQ(KeyOf(a) == KeyOf(b), same_text) << a.ToText() << "vs\n"
+                                             << b.ToText();
+  EXPECT_EQ(a == b, same_text);
+  return same_text;
+}
+
+// Chain Limit -> Sort -> SeqScan, or with `bushy` the Limit holding both
+// the Sort and the SeqScan: the same preorder node sequence either way.
+QueryPlan ThreeNodePlan(bool bushy) {
+  QueryPlan plan;
+  PlanNode scan;
+  scan.type = OperatorType::kSeqScan;
+  scan.annotation.table_id = 4;
+  const int32_t s = plan.AddNode(scan);
+  PlanNode sort;
+  sort.type = OperatorType::kSort;
+  if (!bushy) sort.children = {s};
+  const int32_t o = plan.AddNode(sort);
+  PlanNode limit;
+  limit.type = OperatorType::kLimit;
+  limit.children = bushy ? std::vector<int32_t>{o, s} : std::vector<int32_t>{o};
+  plan.SetRoot(plan.AddNode(limit));
+  return plan;
+}
+
+TEST(PlanKeyTest, NegativeZeroDiffersFromZero) {
+  QueryPlan a = SmallJoinPlan();
+  QueryPlan b = SmallJoinPlan();
+  a.mutable_node(1).est_cost = 0.0;
+  b.mutable_node(1).est_cost = -0.0;
+  EXPECT_FALSE(SamePlan(a, b));
+  b.mutable_node(1).est_cost = 0.0;
+  EXPECT_TRUE(SamePlan(a, b));
+}
+
+TEST(PlanKeyTest, TableRowsIgnoredWithoutTable) {
+  // ToText prints trows only under table_id >= 0, so a stale table_rows on
+  // an unannotated node is invisible to both forms.
+  QueryPlan a = SmallJoinPlan();
+  QueryPlan b = SmallJoinPlan();
+  ASSERT_LT(a.node(2).annotation.table_id, 0);
+  a.mutable_node(2).annotation.table_rows = 10.0;
+  b.mutable_node(2).annotation.table_rows = 20.0;
+  EXPECT_TRUE(SamePlan(a, b));
+  // Any negative table id means "no table" to both forms.
+  b.mutable_node(2).annotation.table_id = -7;
+  EXPECT_TRUE(SamePlan(a, b));
+  // Under a table id the same difference is visible to both.
+  a.mutable_node(0).annotation.table_rows = 10.0;
+  b.mutable_node(0).annotation.table_rows = 20.0;
+  EXPECT_FALSE(SamePlan(a, b));
+}
+
+TEST(PlanKeyTest, JoinColumnsIgnoredWithoutLeftTable) {
+  QueryPlan a = SmallJoinPlan();
+  QueryPlan b = SmallJoinPlan();
+  a.mutable_node(2).annotation.right_column = 3;
+  a.mutable_node(2).annotation.left_table = -4;
+  EXPECT_TRUE(SamePlan(a, b));
+  b.mutable_node(3).annotation.right_column = 5;
+  EXPECT_FALSE(SamePlan(a, b));
+}
+
+TEST(PlanKeyTest, SamePreorderDifferentShapeDiffers) {
+  const QueryPlan chain = ThreeNodePlan(/*bushy=*/false);
+  const QueryPlan bushy = ThreeNodePlan(/*bushy=*/true);
+  ASSERT_TRUE(chain.Validate().ok());
+  ASSERT_TRUE(bushy.Validate().ok());
+  std::vector<OperatorType> chain_types, bushy_types;
+  for (int32_t id : chain.DfsOrder()) chain_types.push_back(chain.node(id).type);
+  for (int32_t id : bushy.DfsOrder()) bushy_types.push_back(bushy.node(id).type);
+  ASSERT_EQ(chain_types, bushy_types);
+  EXPECT_FALSE(SamePlan(chain, bushy));
+}
+
+TEST(PlanKeyTest, FilterMovedToAdjacentNodeDiffers) {
+  FilterPredicate f;
+  f.column_id = 1;
+  f.op = CompareOp::kGt;
+  f.literal = 3.5;
+  f.est_selectivity = 0.25;
+  QueryPlan a = SmallJoinPlan();
+  QueryPlan b = SmallJoinPlan();
+  // Node 2 (Hash) sits directly above node 1 (SeqScan) in preorder.
+  a.mutable_node(2).annotation.filters.push_back(f);
+  b.mutable_node(1).annotation.filters.push_back(f);
+  EXPECT_FALSE(SamePlan(a, b));
+}
+
+TEST(PlanKeyTest, NodeNumberingDoesNotMatter) {
+  // The same tree stored with its arena in a different order.
+  QueryPlan reordered;
+  PlanNode join = SmallJoinPlan().node(3);
+  join.children = {1, 2};
+  const QueryPlan original = SmallJoinPlan();
+  reordered.SetRoot(reordered.AddNode(join));
+  PlanNode s1 = original.node(0);
+  reordered.AddNode(s1);
+  PlanNode hash = original.node(2);
+  hash.children = {3};
+  reordered.AddNode(hash);
+  reordered.AddNode(original.node(1));
+  ASSERT_TRUE(reordered.Validate().ok());
+  EXPECT_TRUE(SamePlan(original, reordered));
+}
+
+TEST(PlanKeyTest, AppendKeepsExistingBytes) {
+  const QueryPlan plan = SmallJoinPlan();
+  std::string key = "prefix";
+  plan.AppendStructuralKey(&key);
+  EXPECT_EQ(key, "prefix" + KeyOf(plan));
+  EXPECT_TRUE(KeyOf(QueryPlan()).empty());
+}
+
+TEST(PlanKeyTest, AgreesWithTextOnRandomPlanPairs) {
+  // Pairs of random plans, and each plan against a one-field perturbation
+  // of itself and against its own parsed text.
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    const QueryPlan a = RandomPlan(2 + static_cast<int>(seed % 9), seed);
+    const QueryPlan b = RandomPlan(2 + static_cast<int>(seed % 9), seed + 1);
+    SamePlan(a, b);
+    auto parsed = ParsePlanText(a.ToText());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_TRUE(SamePlan(a, *parsed));
+    QueryPlan nudged = a;
+    double& cost = nudged.mutable_node(a.root()).est_cost;
+    cost = std::nextafter(cost, 1e300);
+    EXPECT_FALSE(SamePlan(a, nudged));
+  }
 }
 
 // Property sweep over random trees.

@@ -83,9 +83,13 @@
 #                     packed f32 teacher (student_vs_teacher_speedup >= 3.0),
 #                     the tiered path's median q-error must stay within
 #                     its accuracy budget (tiered_qerror_budget <= 1.05),
-#                     and per-prediction accuracy tracking must stay in the
+#                     per-prediction accuracy tracking must stay in the
 #                     noise on the tiered hot path
-#                     (feedback_overhead_pct <= 2%).
+#                     (feedback_overhead_pct <= 2%), and candidate
+#                     enumeration must cost little more than the plan
+#                     builds it needs (enumerate_per_candidate_vs_build
+#                     <= 5.0: enumeration time per kept candidate over
+#                     BuildPlan time, both from the same run).
 #  13. bench-select — plan-selection quality replay (estimators CHOOSE plans
 #                     from the optimizer's candidate sets; chosen plans are
 #                     executed on both machine profiles); rewrites
@@ -403,6 +407,18 @@ elif feedback["overhead_pct"] > 2.0:
         f"feedback tracking too expensive on the tiered hot path: "
         f"{feedback['overhead_pct']:+.2f}% > +2.00%")
 
+# Candidate enumeration must stay text-free: time per kept candidate over
+# BuildPlan time per plan, from the same run so host speed cancels. Printing
+# every candidate to deduplicate it read 33-41; structural keys plus skipping
+# known duplicates read 1.5-2.2.
+enum = records.get("enumerate_per_candidate_vs_build")
+if enum is None:
+    failures.append("enumerate_per_candidate_vs_build record missing from BENCH_micro.json")
+elif enum["ratio"] > 5.0:
+    failures.append(
+        f"candidate enumeration too expensive per kept candidate: "
+        f"{enum['ratio']:.2f}x BuildPlan > 5.00x")
+
 # Accuracy guard: the agreement gate must keep the tiered path's median
 # q-error within budget of serving every plan through the teacher.
 qerr = records.get("tiered_qerror_budget")
@@ -423,6 +439,7 @@ print(f"    packed_f32_vs_perplan_speedup    {packed['speedup']:.2f}x (>= 3.00x)
 print(f"    student_vs_teacher_speedup       {student['speedup']:.2f}x")
 print(f"    tiered_qerror_budget             {qerr['ratio']:.4f} (<= {qerr['budget']:.2f})")
 print(f"    feedback_overhead_pct            {feedback['overhead_pct']:+.2f}% (<= +2.00%)")
+print(f"    enumerate_per_candidate_vs_build {enum['ratio']:.2f}x (<= 5.00x)")
 EOF
 
 echo "==> [13/13] plan-selection regret gate (rewrites BENCH_select.json)"
