@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   config.epochs = static_cast<int>(flags.GetInt("epochs", 8));
   const int runs = static_cast<int>(
       flags.GetInt("runs", config.num_databases));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 4 — Zero-Shot accuracy vs. plan size",
                      "DACE paper Fig. 4 (mean q-error by #nodes)");

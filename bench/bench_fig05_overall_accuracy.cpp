@@ -21,6 +21,11 @@ int main(int argc, char** argv) {
   config.epochs = static_cast<int>(flags.GetInt("epochs", 8));
   const int runs =
       static_cast<int>(flags.GetInt("runs", config.num_databases));
+  // The fine-tune corpus spans 19 databases here, so far fewer adapter
+  // epochs are needed than the small-corpus default.
+  const int finetune_epochs =
+      static_cast<int>(flags.GetInt("finetune_epochs", 12));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader(
       "Fig. 5 — per-database median q-error, workloads 1 and 2",
@@ -48,10 +53,7 @@ int main(int argc, char** argv) {
     // DACE on workload 1.
     core::DaceConfig dace_config;
     dace_config.epochs = config.epochs;
-    // The fine-tune corpus spans 19 databases here, so far fewer adapter
-    // epochs are needed than the small-corpus default.
-    dace_config.finetune_epochs =
-        static_cast<int>(flags.GetInt("finetune_epochs", 12));
+    dace_config.finetune_epochs = finetune_epochs;
     core::DaceEstimator dace_est(dace_config);
     dace_est.Train(train);
     const auto dace = eval::Evaluate(dace_est, test_w1);

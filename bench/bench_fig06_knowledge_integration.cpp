@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const int train_queries =
       static_cast<int>(flags.GetInt("train_queries", 1200));
   const int n_job_light = static_cast<int>(flags.GetInt("job_light", 70));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 6 — WDMs with and without the DACE encoder",
                      "DACE paper Fig. 6 (JOB-light, knowledge integration)");

@@ -310,6 +310,7 @@ int main(int argc, char** argv) {
   const int wdm_train_queries =
       static_cast<int>(flags.GetInt("wdm_train", 1000));
   const int test_queries = static_cast<int>(flags.GetInt("test_queries", 200));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 7 — data drift on scaled TPC-H",
                      "DACE paper Fig. 7 (q-error vs database scale)");

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   config.queries_per_db = static_cast<int>(flags.GetInt("queries_per_db", 60));
   config.epochs = static_cast<int>(flags.GetInt("epochs", 10));
   const int n_job_light = static_cast<int>(flags.GetInt("job_light", 70));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 9 — cold start: MSCN ± DACE vs training size",
                      "DACE paper Fig. 9 (q-error by #training queries)");

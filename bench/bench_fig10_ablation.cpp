@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const int n_synthetic = static_cast<int>(flags.GetInt("synthetic", 300));
   const int n_scale = static_cast<int>(flags.GetInt("scale", 200));
   const int n_job_light = static_cast<int>(flags.GetInt("job_light", 70));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 10 — ablation of tree attention and loss adjuster",
                      "DACE paper Fig. 10 (DACE vs w/o TA, w/o SP, w/o LA)");

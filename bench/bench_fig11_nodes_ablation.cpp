@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   config.epochs = static_cast<int>(flags.GetInt("epochs", 8));
   const int test_queries =
       static_cast<int>(flags.GetInt("test_queries", 1500));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 11 — q-error vs plan size, DACE vs DACE w/o LA",
                      "DACE paper Fig. 11 (loss adjuster on deep plans)");

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const int n_synthetic = static_cast<int>(flags.GetInt("synthetic", 300));
   const int n_scale = static_cast<int>(flags.GetInt("scale", 200));
   const int n_job_light = static_cast<int>(flags.GetInt("job_light", 70));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Fig. 12 — DACE vs DACE-A (actual cardinalities)",
                      "DACE paper Fig. 12 (by number of training databases)");

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const int n_synthetic = static_cast<int>(flags.GetInt("synthetic", 600));
   const int n_scale = static_cast<int>(flags.GetInt("scale", 300));
   const int n_job_light = static_cast<int>(flags.GetInt("job_light", 70));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Table I — q-error on workload 3 (IMDB-like database)",
                      "DACE paper Tab. I (synthetic / scale / JOB-light)");

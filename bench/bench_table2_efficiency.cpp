@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("train_queries", 1500));
   const int infer_queries =
       static_cast<int>(flags.GetInt("infer_queries", 1500));
+  flags.DieOnUnreadKeys();
 
   bench::PrintHeader("Table II — efficiency analysis",
                      "DACE paper Tab. II (size / train qps / infer qps)");

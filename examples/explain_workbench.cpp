@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const dace::Flags& flags = *flags_or;
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int queries = static_cast<int>(flags.GetInt("queries", 5));
+  flags.DieOnUnreadKeys();
 
   const dace::engine::Database db = dace::engine::BuildImdbLike(seed);
   std::printf("database '%s': %zu tables, %zu join edges, %lld rows total\n",

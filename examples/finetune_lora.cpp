@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const int queries_per_db =
       static_cast<int>(flags.GetInt("queries_per_db", 120));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 8));
+  flags.DieOnUnreadKeys();
 
   const auto corpus = dace::engine::BuildCorpus(42, train_dbs + 1);
   const auto m1 = dace::engine::MachineM1();

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("queries_per_db", 80));
   const int wdm_queries = static_cast<int>(flags.GetInt("wdm_queries", 100));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
+  flags.DieOnUnreadKeys();
 
   const auto corpus = dace::engine::BuildCorpus(42, train_dbs + 1);
   const auto m1 = dace::engine::MachineM1();

@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
   const int metrics_port = static_cast<int>(flags.GetInt("metrics-port", -1));
   const int64_t linger_ms = flags.GetInt("linger-ms", 0);
+  flags.DieOnUnreadKeys();
 
   std::unique_ptr<dace::obs::ExpositionServer> exposition;
   if (metrics_port >= 0) {

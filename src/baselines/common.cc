@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace dace::baselines {
 
@@ -26,6 +27,32 @@ void PlanScalers::Fit(const std::vector<plan::QueryPlan>& plans) {
   cost.Fit(std::move(costs));
   time.Fit(std::move(times));
   literal.Fit(std::move(literals));
+}
+
+void BackwardAndAccumulate(nn::Linear* layer,
+                           const nn::Linear::ExternalCache& cache,
+                           const nn::Matrix& dy, nn::Matrix* dx) {
+  nn::Linear::Gradients g;
+  layer->InitGradients(&g);
+  // The bias sink starts from the bias's running gradient, so dy's rows land
+  // on it one at a time: the summation order these trainers have always
+  // used. A zeroed bias sink would sum a multi-row dy first and round
+  // differently. (Baseline layers always train their base weights, so
+  // AccumulateGradients folds the sink back.)
+  std::vector<nn::Parameter*> params;
+  layer->CollectAllParameters(&params);  // W, b, then any LoRA pair
+  std::swap(g.db, params[1]->grad);
+  layer->BackwardCached(cache, dy, &g, dx);
+  layer->AccumulateGradients(&g);
+}
+
+void BackwardAndAccumulate(nn::TreeAttention* layer,
+                           const nn::TreeAttention::Cache& cache,
+                           const nn::Matrix& dy, nn::Matrix* ds) {
+  nn::TreeAttention::Gradients g;
+  layer->InitGradients(&g);
+  layer->BackwardCached(cache, dy, &g, ds);
+  layer->AccumulateGradients(&g);
 }
 
 double HuberLoss(double residual) {

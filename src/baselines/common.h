@@ -68,6 +68,16 @@ double RunAdamTraining(const TrainOptions& options, size_t num_plans,
   return epoch_loss;
 }
 
+// Backward through one layer application for the single-threaded baseline
+// trainers: runs the layer's sink backward and folds the sink into
+// Parameter::grad right away, so gradients land where Adam reads them.
+void BackwardAndAccumulate(nn::Linear* layer,
+                           const nn::Linear::ExternalCache& cache,
+                           const nn::Matrix& dy, nn::Matrix* dx);
+void BackwardAndAccumulate(nn::TreeAttention* layer,
+                           const nn::TreeAttention::Cache& cache,
+                           const nn::Matrix& dy, nn::Matrix* ds);
+
 // Huber loss / gradient on a scalar residual (delta = 1).
 double HuberLoss(double residual);
 double HuberGrad(double residual);

@@ -8,40 +8,22 @@
 namespace dace::baselines {
 
 namespace {
-
 using nn::Linear;
 using nn::Matrix;
-
-void ReluInPlace(Matrix* m) {
-  double* data = m->data();
-  for (size_t i = 0; i < m->size(); ++i) data[i] = std::max(data[i], 0.0);
-}
-
-// dpre = dpost ⊙ [pre > 0].
-void ReluBackward(const Matrix& pre, const Matrix& dpost, Matrix* dpre) {
-  *dpre = dpost;
-  const double* p = pre.data();
-  double* g = dpre->data();
-  for (size_t i = 0; i < dpre->size(); ++i) {
-    if (p[i] <= 0.0) g[i] = 0.0;
-  }
-}
-
 }  // namespace
 
 // Caches of one forward pass, enough to backpropagate.
 struct Mscn::ForwardState {
-  // Per set: caches and pre-activations (z) of the two layers.
+  // Per set: caches, pre-activations (z) and activations (h) of the two
+  // layers.
   struct SetState {
     bool present = false;
     Linear::ExternalCache c1, c2;
-    Matrix z1, z2;
-    size_t rows = 0;
+    Matrix z1, h1, z2, h2;
   };
   SetState tables, joins, predicates;
   Linear::ExternalCache out_c1, out_c2;
-  Matrix out_z1;
-  Matrix concat;  // (1 × concat_dim)
+  Matrix out_z1, out_h1, out;
 };
 
 Mscn::Mscn() : Mscn(Config()) {}
@@ -111,97 +93,63 @@ double Mscn::Forward(const SetFeatures& f, const std::vector<double>& encoding,
                               const Linear& fc2,
                               ForwardState::SetState* ss, double* pooled) {
     std::fill(pooled, pooled + h, 0.0);
-    if (set.rows() == 0) {
-      if (ss != nullptr) ss->present = false;
-      return;
-    }
-    Matrix z1, h1, z2, h2;
-    if (ss != nullptr) {
-      fc1.ForwardCached(set, &ss->c1, &z1);
-    } else {
-      fc1.ForwardInference(set, &z1);
-    }
-    h1 = z1;
-    ReluInPlace(&h1);
-    if (ss != nullptr) {
-      fc2.ForwardCached(h1, &ss->c2, &z2);
-    } else {
-      fc2.ForwardInference(h1, &z2);
-    }
-    h2 = z2;
-    ReluInPlace(&h2);
-    for (size_t i = 0; i < h2.rows(); ++i) {
-      const double* row = h2.RowPtr(i);
+    ss->present = set.rows() > 0;
+    if (!ss->present) return;
+    fc1.ForwardReluCached(set, &ss->c1, &ss->z1, &ss->h1);
+    fc2.ForwardReluCached(ss->h1, &ss->c2, &ss->z2, &ss->h2);
+    for (size_t i = 0; i < ss->h2.rows(); ++i) {
+      const double* row = ss->h2.RowPtr(i);
       for (size_t j = 0; j < h; ++j) pooled[j] += row[j];
     }
-    const double inv = 1.0 / static_cast<double>(h2.rows());
+    const double inv = 1.0 / static_cast<double>(ss->h2.rows());
     for (size_t j = 0; j < h; ++j) pooled[j] *= inv;
-    if (ss != nullptr) {
-      ss->present = true;
-      ss->z1 = std::move(z1);
-      ss->z2 = std::move(z2);
-      ss->rows = set.rows();
-    }
   };
 
   const size_t enc_dim = encoding.size();
   Matrix concat(1, 3 * h + enc_dim);
-  encode_set(f.tables, table_fc1_, table_fc2_,
-             state ? &state->tables : nullptr, concat.RowPtr(0));
-  encode_set(f.joins, join_fc1_, join_fc2_, state ? &state->joins : nullptr,
+  encode_set(f.tables, table_fc1_, table_fc2_, &state->tables,
+             concat.RowPtr(0));
+  encode_set(f.joins, join_fc1_, join_fc2_, &state->joins,
              concat.RowPtr(0) + h);
-  encode_set(f.predicates, pred_fc1_, pred_fc2_,
-             state ? &state->predicates : nullptr, concat.RowPtr(0) + 2 * h);
+  encode_set(f.predicates, pred_fc1_, pred_fc2_, &state->predicates,
+             concat.RowPtr(0) + 2 * h);
   for (size_t j = 0; j < enc_dim; ++j) concat(0, 3 * h + j) = encoding[j];
 
-  Matrix z1, h1, out;
-  if (state != nullptr) {
-    out_fc1_.ForwardCached(concat, &state->out_c1, &z1);
-  } else {
-    out_fc1_.ForwardInference(concat, &z1);
-  }
-  h1 = z1;
-  ReluInPlace(&h1);
-  if (state != nullptr) {
-    out_fc2_.ForwardCached(h1, &state->out_c2, &out);
-  } else {
-    out_fc2_.ForwardInference(h1, &out);
-  }
-  if (state != nullptr) {
-    state->out_z1 = std::move(z1);
-    state->concat = std::move(concat);
-  }
-  return out(0, 0);
+  out_fc1_.ForwardReluCached(concat, &state->out_c1, &state->out_z1,
+                             &state->out_h1);
+  out_fc2_.ForwardCached(state->out_h1, &state->out_c2, &state->out);
+  return state->out(0, 0);
 }
 
-void Mscn::Backward(ForwardState* state, double dloss) {
+void Mscn::Backward(const ForwardState& state, double dloss) {
   const size_t h = static_cast<size_t>(config_.hidden);
   Matrix dout(1, 1);
   dout(0, 0) = dloss;
-  Matrix dh1, dz1, dconcat;
-  out_fc2_.BackwardCached(state->out_c2, dout, &dh1);
-  ReluBackward(state->out_z1, dh1, &dz1);
-  out_fc1_.BackwardCached(state->out_c1, dz1, &dconcat);
+  Matrix dh1, dconcat;
+  BackwardAndAccumulate(&out_fc2_, state.out_c2, dout, &dh1);
+  nn::ReluBackwardInto(state.out_z1, dh1, &dh1);
+  BackwardAndAccumulate(&out_fc1_, state.out_c1, dh1, &dconcat);
 
-  const auto set_backward = [&](ForwardState::SetState* ss, Linear* fc1,
+  const auto set_backward = [&](const ForwardState::SetState& ss, Linear* fc1,
                                 Linear* fc2, const double* dpooled) {
-    if (!ss->present) return;
+    if (!ss.present) return;
     // Mean-pool backward: broadcast dpooled / rows to every row.
-    Matrix dh2(ss->rows, h);
-    const double inv = 1.0 / static_cast<double>(ss->rows);
-    for (size_t i = 0; i < ss->rows; ++i) {
+    const size_t rows = ss.h2.rows();
+    Matrix dh2(rows, h);
+    const double inv = 1.0 / static_cast<double>(rows);
+    for (size_t i = 0; i < rows; ++i) {
       double* row = dh2.RowPtr(i);
       for (size_t j = 0; j < h; ++j) row[j] = dpooled[j] * inv;
     }
-    Matrix dz2, dh1_set, dz1_set, dinput;
-    ReluBackward(ss->z2, dh2, &dz2);
-    fc2->BackwardCached(ss->c2, dz2, &dh1_set);
-    ReluBackward(ss->z1, dh1_set, &dz1_set);
-    fc1->BackwardCached(ss->c1, dz1_set, &dinput);
+    Matrix dh1_set, dinput;
+    nn::ReluBackwardInto(ss.z2, dh2, &dh2);
+    BackwardAndAccumulate(fc2, ss.c2, dh2, &dh1_set);
+    nn::ReluBackwardInto(ss.z1, dh1_set, &dh1_set);
+    BackwardAndAccumulate(fc1, ss.c1, dh1_set, &dinput);
   };
-  set_backward(&state->tables, &table_fc1_, &table_fc2_, dconcat.RowPtr(0));
-  set_backward(&state->joins, &join_fc1_, &join_fc2_, dconcat.RowPtr(0) + h);
-  set_backward(&state->predicates, &pred_fc1_, &pred_fc2_,
+  set_backward(state.tables, &table_fc1_, &table_fc2_, dconcat.RowPtr(0));
+  set_backward(state.joins, &join_fc1_, &join_fc2_, dconcat.RowPtr(0) + h);
+  set_backward(state.predicates, &pred_fc1_, &pred_fc2_,
                dconcat.RowPtr(0) + 2 * h);
 }
 
@@ -234,7 +182,7 @@ void Mscn::Train(const std::vector<plan::QueryPlan>& plans) {
     ForwardState state;
     const double pred = Forward(features[idx], encodings[idx], &state);
     const double residual = pred - labels[idx];
-    Backward(&state, HuberGrad(residual));
+    Backward(state, HuberGrad(residual));
     return HuberLoss(residual);
   });
 }
@@ -243,7 +191,8 @@ double Mscn::PredictMs(const plan::QueryPlan& plan) const {
   const SetFeatures f = Extract(plan);
   const std::vector<double> encoding =
       encoder_ ? encoder_->Encode(plan) : std::vector<double>();
-  const double pred = Forward(f, encoding, nullptr);
+  ForwardState state;
+  const double pred = Forward(f, encoding, &state);
   return ClampPredictionMs(scalers_.time.InverseTransform(pred));
 }
 

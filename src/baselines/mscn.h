@@ -57,12 +57,12 @@ class Mscn : public core::CostEstimator {
 
   SetFeatures Extract(const plan::QueryPlan& plan) const;
 
-  // Forward to the scaled-log-time prediction; optionally keeps caches for
-  // Backward. Returns the prediction.
+  // Forward to the scaled-log-time prediction through `state`, which keeps
+  // what Backward needs. Returns the prediction.
   struct ForwardState;
   double Forward(const SetFeatures& f, const std::vector<double>& encoding,
                  ForwardState* state) const;
-  void Backward(ForwardState* state, double dloss);
+  void Backward(const ForwardState& state, double dloss);
 
   std::vector<nn::Parameter*> Parameters();
 

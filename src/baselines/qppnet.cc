@@ -1,6 +1,5 @@
 #include "baselines/qppnet.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -8,7 +7,6 @@
 namespace dace::baselines {
 
 namespace {
-using nn::Linear;
 using nn::Matrix;
 }  // namespace
 
@@ -26,8 +24,8 @@ QppNet::QppNet(const Config& config) : config_(config), rng_(config.train.seed) 
   }
 }
 
-Matrix QppNet::ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                           std::vector<NodeState>* states) const {
+const Matrix& QppNet::ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                  std::vector<NodeState>* states) const {
   const plan::PlanNode& node = plan.node(id);
   const int type = static_cast<int>(node.type);
   const size_t dd = static_cast<size_t>(config_.data_dim);
@@ -36,35 +34,18 @@ Matrix QppNet::ForwardNode(const plan::QueryPlan& plan, int32_t id,
   input(0, 0) = scalers_.card.Transform(node.est_cardinality);
   input(0, 1) = scalers_.cost.Transform(node.est_cost);
   for (size_t k = 0; k < node.children.size() && k < 2; ++k) {
-    const Matrix child = ForwardNode(plan, node.children[k], states);
+    const Matrix& child = ForwardNode(plan, node.children[k], states);
     for (size_t j = 0; j < dd; ++j) {
       input(0, kNodeFeatures + k * dd + j) = child(0, 1 + j);
     }
   }
 
-  const Linear& fc1 = fc1_[static_cast<size_t>(type)];
-  const Linear& fc2 = fc2_[static_cast<size_t>(type)];
-  Matrix z1, h1, out;
-  if (states != nullptr) {
-    NodeState& s = (*states)[static_cast<size_t>(id)];
-    s.type = type;
-    fc1.ForwardCached(input, &s.c1, &z1);
-    h1 = z1;
-    for (size_t i = 0; i < h1.size(); ++i) {
-      h1.data()[i] = std::max(h1.data()[i], 0.0);
-    }
-    fc2.ForwardCached(h1, &s.c2, &out);
-    s.z1 = std::move(z1);
-    s.output = out;
-  } else {
-    fc1.ForwardInference(input, &z1);
-    h1 = z1;
-    for (size_t i = 0; i < h1.size(); ++i) {
-      h1.data()[i] = std::max(h1.data()[i], 0.0);
-    }
-    fc2.ForwardInference(h1, &out);
-  }
-  return out;
+  NodeState& s = (*states)[static_cast<size_t>(id)];
+  s.type = type;
+  fc1_[static_cast<size_t>(type)].ForwardReluCached(input, &s.c1, &s.z1,
+                                                    &s.h1);
+  fc2_[static_cast<size_t>(type)].ForwardCached(s.h1, &s.c2, &s.output);
+  return s.output;
 }
 
 std::vector<nn::Parameter*> QppNet::Parameters() {
@@ -105,16 +86,13 @@ void QppNet::Train(const std::vector<plan::QueryPlan>& plans) {
     // Backward in preorder: parents are visited before children, so a
     // child's doutput is complete when its turn comes.
     for (int32_t id : plan.DfsOrder()) {
-      NodeState& s = states[static_cast<size_t>(id)];
-      Matrix dh1, dz1, dinput;
-      fc2_[static_cast<size_t>(s.type)].BackwardCached(s.c2,
-                                                       doutput[static_cast<size_t>(id)],
-                                                       &dh1);
-      dz1 = dh1;
-      for (size_t i = 0; i < dz1.size(); ++i) {
-        if (s.z1.data()[i] <= 0.0) dz1.data()[i] = 0.0;
-      }
-      fc1_[static_cast<size_t>(s.type)].BackwardCached(s.c1, dz1, &dinput);
+      const NodeState& s = states[static_cast<size_t>(id)];
+      Matrix dh1, dinput;
+      BackwardAndAccumulate(&fc2_[static_cast<size_t>(s.type)], s.c2,
+                            doutput[static_cast<size_t>(id)], &dh1);
+      nn::ReluBackwardInto(s.z1, dh1, &dh1);
+      BackwardAndAccumulate(&fc1_[static_cast<size_t>(s.type)], s.c1, dh1,
+                            &dinput);
       const auto& children = plan.node(id).children;
       for (size_t k = 0; k < children.size() && k < 2; ++k) {
         Matrix& dchild = doutput[static_cast<size_t>(children[k])];
@@ -128,7 +106,8 @@ void QppNet::Train(const std::vector<plan::QueryPlan>& plans) {
 }
 
 double QppNet::PredictMs(const plan::QueryPlan& plan) const {
-  const Matrix out = ForwardNode(plan, plan.root(), nullptr);
+  std::vector<NodeState> states(plan.size());
+  const Matrix& out = ForwardNode(plan, plan.root(), &states);
   return ClampPredictionMs(scalers_.time.InverseTransform(out(0, 0)));
 }
 

@@ -40,15 +40,15 @@ class QppNet : public core::CostEstimator {
 
   struct NodeState {
     nn::Linear::ExternalCache c1, c2;
-    nn::Matrix z1;
+    nn::Matrix z1, h1;
     nn::Matrix output;  // (1 × (1 + data_dim))
     int type = 0;
   };
 
-  // Post-order forward over node `id`; fills states (indexed by node id)
-  // when training, and returns the node's output row.
-  nn::Matrix ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                         std::vector<NodeState>* states) const;
+  // Post-order forward over node `id`; fills states (indexed by node id,
+  // sized to the plan) and returns the node's output row.
+  const nn::Matrix& ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                std::vector<NodeState>* states) const;
 
   std::vector<nn::Parameter*> Parameters();
 

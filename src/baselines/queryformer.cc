@@ -74,16 +74,17 @@ Matrix QueryFormer::BuildMask(const plan::QueryPlan& plan) const {
 }
 
 Matrix QueryFormer::ForwardBody(const Matrix& input, const Matrix& mask,
-                                bool train) {
-  DACE_CHECK(train);
-  Matrix h = embed_.Forward(input);
-  for (auto& layer : layers_) {
-    const Matrix& a = layer->attention.Forward(h, mask);
-    Matrix h1 = h;
-    h1.AddScaled(a, 1.0);
-    const Matrix& f =
-        layer->ffn2.Forward(layer->relu.Forward(layer->ffn1.Forward(h1)));
-    h = h1;
+                                PlanCache* cache) const {
+  cache->layers.resize(layers_.size());
+  Matrix h, a, r, f;
+  embed_.ForwardCached(input, &cache->embed, &h);
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const EncoderLayer& layer = *layers_[l];
+    PlanCache::Layer& c = cache->layers[l];
+    layer.attention.ForwardCached(h, mask, &c.attention, &a);
+    h.AddScaled(a, 1.0);
+    layer.ffn1.ForwardReluCached(h, &c.ffn1, &c.z1, &r);
+    layer.ffn2.ForwardCached(r, &c.ffn2, &f);
     h.AddScaled(f, 1.0);
   }
   Matrix super(1, h.cols());
@@ -91,23 +92,17 @@ Matrix QueryFormer::ForwardBody(const Matrix& input, const Matrix& mask,
   return super;
 }
 
-Matrix QueryFormer::ForwardBodyInference(const Matrix& input,
-                                         const Matrix& mask) const {
-  Matrix h;
-  embed_.ForwardInference(input, &h);
-  for (const auto& layer : layers_) {
-    Matrix a;
-    layer->attention.ForwardInference(h, mask, &a);
-    h.AddScaled(a, 1.0);
-    Matrix z1, h1, f;
-    layer->ffn1.ForwardInference(h, &z1);
-    layer->relu.ForwardInference(z1, &h1);
-    layer->ffn2.ForwardInference(h1, &f);
-    h.AddScaled(f, 1.0);
-  }
-  Matrix super(1, h.cols());
-  for (size_t j = 0; j < h.cols(); ++j) super(0, j) = h(0, j);
-  return super;
+double QueryFormer::ForwardHead(const Matrix& super,
+                                const std::vector<double>& encoding,
+                                PlanCache* cache) const {
+  const size_t d = super.cols();
+  Matrix concat(1, d + encoding.size());
+  for (size_t j = 0; j < d; ++j) concat(0, j) = super(0, j);
+  for (size_t j = 0; j < encoding.size(); ++j) concat(0, d + j) = encoding[j];
+  head1_.ForwardReluCached(concat, &cache->head1, &cache->head_z,
+                           &cache->head_h);
+  head2_.ForwardCached(cache->head_h, &cache->head2, &cache->out);
+  return cache->out(0, 0);
 }
 
 std::vector<nn::Parameter*> QueryFormer::Parameters() {
@@ -127,8 +122,6 @@ void QueryFormer::Train(const std::vector<plan::QueryPlan>& plans) {
   DACE_CHECK(!plans.empty());
   scalers_.Fit(plans);
   const size_t d = static_cast<size_t>(config_.d_model);
-  const size_t enc_dim =
-      encoder_ ? static_cast<size_t>(encoder_->EncodingDim()) : 0;
 
   // Pre-extract inputs, masks, encodings, labels.
   std::vector<Matrix> inputs, masks;
@@ -144,61 +137,49 @@ void QueryFormer::Train(const std::vector<plan::QueryPlan>& plans) {
   }
 
   RunAdamTraining(config_.train, plans.size(), Parameters(), [&](size_t idx) {
-    const Matrix super = ForwardBody(inputs[idx], masks[idx], /*train=*/true);
-
-    Matrix concat(1, d + enc_dim);
-    for (size_t j = 0; j < d; ++j) concat(0, j) = super(0, j);
-    for (size_t j = 0; j < enc_dim; ++j) concat(0, d + j) = encodings[idx][j];
-    const Matrix& out = head2_.Forward(head_relu_.Forward(head1_.Forward(concat)));
-    const double residual = out(0, 0) - labels[idx];
+    PlanCache cache;
+    const Matrix super = ForwardBody(inputs[idx], masks[idx], &cache);
+    const double residual =
+        ForwardHead(super, encodings[idx], &cache) - labels[idx];
 
     // Head backward.
-    Matrix dout(1, 1), dr, dz, dconcat;
+    Matrix dout(1, 1), dr, dconcat;
     dout(0, 0) = HuberGrad(residual);
-    head2_.Backward(dout, &dr);
-    head_relu_.Backward(dr, &dz);
-    head1_.Backward(dz, &dconcat);
+    BackwardAndAccumulate(&head2_, cache.head2, dout, &dr);
+    nn::ReluBackwardInto(cache.head_z, dr, &dr);
+    BackwardAndAccumulate(&head1_, cache.head1, dr, &dconcat);
 
     // Body backward: gradient only flows through the super-node row.
     const size_t rows = inputs[idx].rows();
     Matrix dh(rows, d);
     for (size_t j = 0; j < d; ++j) dh(0, j) = dconcat(0, j);
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      EncoderLayer& layer = **it;
+    for (size_t l = layers_.size(); l-- > 0;) {
+      EncoderLayer& layer = *layers_[l];
+      const PlanCache::Layer& c = cache.layers[l];
       // out = h1 + ffn(h1): dh1 = dh + d(ffn path).
-      Matrix df2, drelu, df1;
-      layer.ffn2.Backward(dh, &df2);
-      layer.relu.Backward(df2, &drelu);
-      layer.ffn1.Backward(drelu, &df1);
-      Matrix dh1 = dh;
-      dh1.AddScaled(df1, 1.0);
+      Matrix df2, df1;
+      BackwardAndAccumulate(&layer.ffn2, c.ffn2, dh, &df2);
+      nn::ReluBackwardInto(c.z1, df2, &df2);
+      BackwardAndAccumulate(&layer.ffn1, c.ffn1, df2, &df1);
+      dh.AddScaled(df1, 1.0);
       // h1 = hin + attn(hin): dhin = dh1 + d(attn path).
       Matrix dattn;
-      layer.attention.Backward(dh1, &dattn);
-      dh = dh1;
+      BackwardAndAccumulate(&layer.attention, c.attention, dh, &dattn);
       dh.AddScaled(dattn, 1.0);
     }
     Matrix dinput;
-    embed_.Backward(dh, &dinput);
+    BackwardAndAccumulate(&embed_, cache.embed, dh, &dinput);
     return HuberLoss(residual);
   });
 }
 
 double QueryFormer::PredictMs(const plan::QueryPlan& plan) const {
-  const Matrix input = BuildInput(plan);
-  const Matrix mask = BuildMask(plan);
-  const Matrix super = ForwardBodyInference(input, mask);
-  const size_t d = static_cast<size_t>(config_.d_model);
+  PlanCache cache;
+  const Matrix super = ForwardBody(BuildInput(plan), BuildMask(plan), &cache);
   const std::vector<double> encoding =
       encoder_ ? encoder_->Encode(plan) : std::vector<double>();
-  Matrix concat(1, d + encoding.size());
-  for (size_t j = 0; j < d; ++j) concat(0, j) = super(0, j);
-  for (size_t j = 0; j < encoding.size(); ++j) concat(0, d + j) = encoding[j];
-  Matrix z, r, out;
-  head1_.ForwardInference(concat, &z);
-  head_relu_.ForwardInference(z, &r);
-  head2_.ForwardInference(r, &out);
-  return ClampPredictionMs(scalers_.time.InverseTransform(out(0, 0)));
+  const double pred = ForwardHead(super, encoding, &cache);
+  return ClampPredictionMs(scalers_.time.InverseTransform(pred));
 }
 
 size_t QueryFormer::ParameterCount() const {

@@ -56,19 +56,32 @@ class QueryFormer : public core::CostEstimator {
   struct EncoderLayer {
     nn::TreeAttention attention;
     nn::Linear ffn1, ffn2;
-    nn::Relu relu;
+  };
+
+  // Everything one plan's forward pass leaves for its backward pass.
+  struct PlanCache {
+    struct Layer {
+      nn::TreeAttention::Cache attention;
+      nn::Linear::ExternalCache ffn1, ffn2;
+      nn::Matrix z1;  // ffn1 pre-activation (ReLU mask)
+    };
+    nn::Linear::ExternalCache embed;
+    std::vector<Layer> layers;
+    nn::Linear::ExternalCache head1, head2;
+    nn::Matrix head_z, head_h, out;
   };
 
   // Rows: super node then DFS nodes.
   nn::Matrix BuildInput(const plan::QueryPlan& plan) const;
   nn::Matrix BuildMask(const plan::QueryPlan& plan) const;
 
-  // Forward to the super-node representation (1 × d_model). `train` selects
-  // the caching forward path.
+  // Forward to the super-node representation (1 × d_model).
   nn::Matrix ForwardBody(const nn::Matrix& input, const nn::Matrix& mask,
-                         bool train);
-  nn::Matrix ForwardBodyInference(const nn::Matrix& input,
-                                  const nn::Matrix& mask) const;
+                         PlanCache* cache) const;
+  // Super node (+ DACE encoding) → scaled-log-time prediction.
+  double ForwardHead(const nn::Matrix& super,
+                     const std::vector<double>& encoding,
+                     PlanCache* cache) const;
 
   std::vector<nn::Parameter*> Parameters();
 
@@ -79,7 +92,6 @@ class QueryFormer : public core::CostEstimator {
   nn::Linear embed_;
   std::vector<std::unique_ptr<EncoderLayer>> layers_;
   nn::Linear head1_, head2_;
-  nn::Relu head_relu_;
 };
 
 }  // namespace dace::baselines

@@ -10,19 +10,6 @@ namespace dace::baselines {
 namespace {
 using nn::Linear;
 using nn::Matrix;
-
-void ReluInPlace(Matrix* m) {
-  double* data = m->data();
-  for (size_t i = 0; i < m->size(); ++i) data[i] = std::max(data[i], 0.0);
-}
-
-void MaskByPreactivation(const Matrix& z, Matrix* grad) {
-  const double* p = z.data();
-  double* g = grad->data();
-  for (size_t i = 0; i < grad->size(); ++i) {
-    if (p[i] <= 0.0) g[i] = 0.0;
-  }
-}
 }  // namespace
 
 TPool::TPool() : TPool(Config()) {}
@@ -56,70 +43,32 @@ Matrix TPool::NodeFeature(const plan::PlanNode& node) const {
   return x;
 }
 
-Matrix TPool::ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                          std::vector<NodeState>* states) const {
+const Matrix& TPool::ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                 std::vector<NodeState>* states) const {
   const plan::PlanNode& node = plan.node(id);
   const size_t rep = static_cast<size_t>(config_.rep_dim);
 
-  Matrix children[2];
-  for (size_t k = 0; k < node.children.size() && k < 2; ++k) {
-    children[k] = ForwardNode(plan, node.children[k], states);
-  }
-
-  const Matrix x = NodeFeature(node);
-  Matrix enc_z, enc_h;
-  NodeState* s =
-      states != nullptr ? &(*states)[static_cast<size_t>(id)] : nullptr;
-  if (s != nullptr) {
-    encoder_.ForwardCached(x, &s->enc_cache, &enc_z);
-  } else {
-    encoder_.ForwardInference(x, &enc_z);
-  }
-  enc_h = enc_z;
-  ReluInPlace(&enc_h);
-
   Matrix comb_in(1, 3 * rep);
-  for (size_t j = 0; j < rep; ++j) comb_in(0, j) = enc_h(0, j);
-  for (int k = 0; k < 2; ++k) {
-    if (!children[k].empty()) {
-      for (size_t j = 0; j < rep; ++j) {
-        comb_in(0, rep * static_cast<size_t>(k + 1) + j) = children[k](0, j);
-      }
+  for (size_t k = 0; k < node.children.size() && k < 2; ++k) {
+    const Matrix& child = ForwardNode(plan, node.children[k], states);
+    for (size_t j = 0; j < rep; ++j) {
+      comb_in(0, rep * (k + 1) + j) = child(0, j);
     }
   }
-  Matrix comb_z, out;
-  if (s != nullptr) {
-    combiner_.ForwardCached(comb_in, &s->comb_cache, &comb_z);
-  } else {
-    combiner_.ForwardInference(comb_in, &comb_z);
-  }
-  out = comb_z;
-  ReluInPlace(&out);
-  if (s != nullptr) {
-    s->enc_z = std::move(enc_z);
-    s->comb_z = std::move(comb_z);
-  }
-  return out;
+
+  NodeState& s = (*states)[static_cast<size_t>(id)];
+  encoder_.ForwardReluCached(NodeFeature(node), &s.enc_cache, &s.enc_z,
+                             &s.enc_h);
+  for (size_t j = 0; j < rep; ++j) comb_in(0, j) = s.enc_h(0, j);
+  combiner_.ForwardReluCached(comb_in, &s.comb_cache, &s.comb_z, &s.rep);
+  return s.rep;
 }
 
 double TPool::HeadForward(const Linear& h1, const Linear& h2,
-                          const Matrix& rep, Linear::ExternalCache* c1,
-                          Linear::ExternalCache* c2, Matrix* z1) const {
-  Matrix hz1, hh1, out;
-  if (c1 != nullptr) {
-    h1.ForwardCached(rep, c1, &hz1);
-  } else {
-    h1.ForwardInference(rep, &hz1);
-  }
-  hh1 = hz1;
-  ReluInPlace(&hh1);
-  if (c2 != nullptr) {
-    h2.ForwardCached(hh1, c2, &out);
-  } else {
-    h2.ForwardInference(hh1, &out);
-  }
-  if (z1 != nullptr) *z1 = std::move(hz1);
-  return out(0, 0);
+                          const Matrix& rep, HeadState* hs) const {
+  h1.ForwardReluCached(rep, &hs->c1, &hs->z1, &hs->h1);
+  h2.ForwardCached(hs->h1, &hs->c2, &hs->out);
+  return hs->out(0, 0);
 }
 
 std::vector<nn::Parameter*> TPool::Parameters() {
@@ -139,62 +88,52 @@ void TPool::Train(const std::vector<plan::QueryPlan>& plans) {
   RunAdamTraining(config_.train, plans.size(), Parameters(), [&](size_t idx) {
     const plan::QueryPlan& plan = plans[idx];
     std::vector<NodeState> states(plan.size());
-    const Matrix root = ForwardNode(plan, plan.root(), &states);
+    const Matrix& root = ForwardNode(plan, plan.root(), &states);
 
     const plan::PlanNode& root_node = plan.node(plan.root());
     const double time_label = scalers_.time.Transform(root_node.actual_time_ms);
     const double card_label =
         scalers_.card.Transform(root_node.actual_cardinality);
 
-    Linear::ExternalCache tc1, tc2, cc1, cc2;
-    Matrix tz1, cz1;
-    const double time_pred =
-        HeadForward(time_h1_, time_h2_, root, &tc1, &tc2, &tz1);
-    const double card_pred =
-        HeadForward(card_h1_, card_h2_, root, &cc1, &cc2, &cz1);
-    const double tr = time_pred - time_label;
-    const double cr = card_pred - card_label;
+    HeadState time_head, card_head;
+    const double tr =
+        HeadForward(time_h1_, time_h2_, root, &time_head) - time_label;
+    const double cr =
+        HeadForward(card_h1_, card_h2_, root, &card_head) - card_label;
     const double loss =
         HuberLoss(tr) + config_.card_loss_weight * HuberLoss(cr);
 
     // Heads backward into the root representation.
     Matrix droot(1, rep);
-    {
-      Matrix dout(1, 1), dh1, dz1, dr;
-      dout(0, 0) = HuberGrad(tr);
-      time_h2_.BackwardCached(tc2, dout, &dh1);
-      dz1 = dh1;
-      MaskByPreactivation(tz1, &dz1);
-      time_h1_.BackwardCached(tc1, dz1, &dr);
+    const auto head_backward = [&droot](Linear* h1, Linear* h2,
+                                        const HeadState& hs, double dpred) {
+      Matrix dout(1, 1), dh1, dr;
+      dout(0, 0) = dpred;
+      BackwardAndAccumulate(h2, hs.c2, dout, &dh1);
+      nn::ReluBackwardInto(hs.z1, dh1, &dh1);
+      BackwardAndAccumulate(h1, hs.c1, dh1, &dr);
       droot.AddScaled(dr, 1.0);
-    }
-    {
-      Matrix dout(1, 1), dh1, dz1, dr;
-      dout(0, 0) = config_.card_loss_weight * HuberGrad(cr);
-      card_h2_.BackwardCached(cc2, dout, &dh1);
-      dz1 = dh1;
-      MaskByPreactivation(cz1, &dz1);
-      card_h1_.BackwardCached(cc1, dz1, &dr);
-      droot.AddScaled(dr, 1.0);
-    }
+    };
+    head_backward(&time_h1_, &time_h2_, time_head, HuberGrad(tr));
+    head_backward(&card_h1_, &card_h2_, card_head,
+                  config_.card_loss_weight * HuberGrad(cr));
 
     // Top-down through the tree pooling.
     std::vector<Matrix> drep(plan.size());
     drep[static_cast<size_t>(plan.root())] = std::move(droot);
     for (int32_t id : plan.DfsOrder()) {
-      NodeState& s = states[static_cast<size_t>(id)];
+      const NodeState& s = states[static_cast<size_t>(id)];
       Matrix& grad = drep[static_cast<size_t>(id)];
       if (grad.empty()) grad = Matrix(1, rep);
-      Matrix dcomb_z = grad;
-      MaskByPreactivation(s.comb_z, &dcomb_z);
-      Matrix dcomb_in;
-      combiner_.BackwardCached(s.comb_cache, dcomb_z, &dcomb_in);
+      Matrix dcomb_z, dcomb_in;
+      nn::ReluBackwardInto(s.comb_z, grad, &dcomb_z);
+      BackwardAndAccumulate(&combiner_, s.comb_cache, dcomb_z, &dcomb_in);
       // Own-encoding slice.
       Matrix denc_h(1, rep);
       for (size_t j = 0; j < rep; ++j) denc_h(0, j) = dcomb_in(0, j);
-      MaskByPreactivation(s.enc_z, &denc_h);
+      nn::ReluBackwardInto(s.enc_z, denc_h, &denc_h);
       Matrix dx;
-      encoder_.BackwardCached(s.enc_cache, denc_h, &dx);
+      BackwardAndAccumulate(&encoder_, s.enc_cache, denc_h, &dx);
       // Children slices.
       const auto& children = plan.node(id).children;
       for (size_t k = 0; k < children.size() && k < 2; ++k) {
@@ -210,16 +149,18 @@ void TPool::Train(const std::vector<plan::QueryPlan>& plans) {
 }
 
 double TPool::PredictMs(const plan::QueryPlan& plan) const {
-  const Matrix root = ForwardNode(plan, plan.root(), nullptr);
-  const double pred =
-      HeadForward(time_h1_, time_h2_, root, nullptr, nullptr, nullptr);
+  std::vector<NodeState> states(plan.size());
+  HeadState head;
+  const double pred = HeadForward(
+      time_h1_, time_h2_, ForwardNode(plan, plan.root(), &states), &head);
   return ClampPredictionMs(scalers_.time.InverseTransform(pred));
 }
 
 double TPool::PredictCardinality(const plan::QueryPlan& plan) const {
-  const Matrix root = ForwardNode(plan, plan.root(), nullptr);
-  const double pred =
-      HeadForward(card_h1_, card_h2_, root, nullptr, nullptr, nullptr);
+  std::vector<NodeState> states(plan.size());
+  HeadState head;
+  const double pred = HeadForward(
+      card_h1_, card_h2_, ForwardNode(plan, plan.root(), &states), &head);
   return std::max(scalers_.card.InverseTransform(pred), 1e-6);
 }
 

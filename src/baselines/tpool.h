@@ -42,19 +42,24 @@ class TPool : public core::CostEstimator {
 
   struct NodeState {
     nn::Linear::ExternalCache enc_cache, comb_cache;
-    nn::Matrix enc_z, comb_z;
+    nn::Matrix enc_z, enc_h, comb_z;
+    nn::Matrix rep;  // (1 × rep_dim) sub-plan representation
+  };
+  struct HeadState {
+    nn::Linear::ExternalCache c1, c2;
+    nn::Matrix z1, h1, out;
   };
 
   nn::Matrix NodeFeature(const plan::PlanNode& node) const;
 
-  // Post-order: returns the sub-plan representation (1 × rep_dim).
-  nn::Matrix ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                         std::vector<NodeState>* states) const;
+  // Post-order over node `id`; fills states (indexed by node id, sized to
+  // the plan) and returns the sub-plan representation.
+  const nn::Matrix& ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                std::vector<NodeState>* states) const;
 
-  // Head forward (time or card).
+  // Head forward (time or card) from the root representation.
   double HeadForward(const nn::Linear& h1, const nn::Linear& h2,
-                     const nn::Matrix& rep, nn::Linear::ExternalCache* c1,
-                     nn::Linear::ExternalCache* c2, nn::Matrix* z1) const;
+                     const nn::Matrix& rep, HeadState* hs) const;
 
   std::vector<nn::Parameter*> Parameters();
 

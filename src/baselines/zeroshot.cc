@@ -1,6 +1,5 @@
 #include "baselines/zeroshot.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -8,13 +7,7 @@
 namespace dace::baselines {
 
 namespace {
-using nn::Linear;
 using nn::Matrix;
-
-void ReluInPlace(Matrix* m) {
-  double* data = m->data();
-  for (size_t i = 0; i < m->size(); ++i) data[i] = std::max(data[i], 0.0);
-}
 }  // namespace
 
 ZeroShot::ZeroShot() : ZeroShot(Config()) {}
@@ -53,8 +46,8 @@ Matrix ZeroShot::NodeInput(const plan::PlanNode& node,
   return input;
 }
 
-Matrix ZeroShot::ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                             std::vector<NodeState>* states) const {
+const Matrix& ZeroShot::ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                    std::vector<NodeState>* states) const {
   const plan::PlanNode& node = plan.node(id);
   const size_t md = static_cast<size_t>(config_.message_dim);
 
@@ -62,37 +55,25 @@ Matrix ZeroShot::ForwardNode(const plan::QueryPlan& plan, int32_t id,
   if (!node.children.empty()) {
     child_mean = Matrix(1, md);
     for (int32_t child : node.children) {
-      const Matrix msg = ForwardNode(plan, child, states);
+      const Matrix& msg = ForwardNode(plan, child, states);
       child_mean.AddScaled(msg, 1.0 / static_cast<double>(node.children.size()));
     }
   }
 
   const int type = static_cast<int>(node.type);
-  const Matrix input = NodeInput(node, child_mean);
-  const Linear& fc1 = fc1_[static_cast<size_t>(type)];
-  const Linear& fc2 = fc2_[static_cast<size_t>(type)];
-  Matrix z1, h1, z2, msg;
-  if (states != nullptr) {
-    NodeState& s = (*states)[static_cast<size_t>(id)];
-    s.type = type;
-    s.num_children = node.children.size();
-    fc1.ForwardCached(input, &s.c1, &z1);
-    h1 = z1;
-    ReluInPlace(&h1);
-    fc2.ForwardCached(h1, &s.c2, &z2);
-    msg = z2;
-    ReluInPlace(&msg);
-    s.z1 = std::move(z1);
-    s.z2 = std::move(z2);
-  } else {
-    fc1.ForwardInference(input, &z1);
-    h1 = z1;
-    ReluInPlace(&h1);
-    fc2.ForwardInference(h1, &z2);
-    msg = z2;
-    ReluInPlace(&msg);
-  }
-  return msg;
+  NodeState& s = (*states)[static_cast<size_t>(id)];
+  s.type = type;
+  fc1_[static_cast<size_t>(type)].ForwardReluCached(
+      NodeInput(node, child_mean), &s.c1, &s.z1, &s.h1);
+  fc2_[static_cast<size_t>(type)].ForwardReluCached(s.h1, &s.c2, &s.z2,
+                                                    &s.msg);
+  return s.msg;
+}
+
+double ZeroShot::HeadForward(const Matrix& root_msg, HeadState* hs) const {
+  head1_.ForwardReluCached(root_msg, &hs->c1, &hs->z1, &hs->h1);
+  head2_.ForwardCached(hs->h1, &hs->c2, &hs->out);
+  return hs->out(0, 0);
 }
 
 std::vector<nn::Parameter*> ZeroShot::Parameters() {
@@ -125,50 +106,37 @@ void ZeroShot::Train(const std::vector<plan::QueryPlan>& plans) {
   RunAdamTraining(config_.train, plans.size(), Parameters(), [&](size_t idx) {
     const plan::QueryPlan& plan = plans[idx];
     std::vector<NodeState> states(plan.size());
-    const Matrix root_msg = ForwardNode(plan, plan.root(), &states);
-
-    // Head forward.
-    Linear::ExternalCache hc1, hc2;
-    Matrix hz1, hh1, out;
-    head1_.ForwardCached(root_msg, &hc1, &hz1);
-    hh1 = hz1;
-    ReluInPlace(&hh1);
-    head2_.ForwardCached(hh1, &hc2, &out);
+    HeadState head;
+    const double pred =
+        HeadForward(ForwardNode(plan, plan.root(), &states), &head);
 
     const double label =
         scalers_.time.Transform(plan.node(plan.root()).actual_time_ms);
-    const double residual = out(0, 0) - label;
+    const double residual = pred - label;
 
     // Head backward.
-    Matrix dout(1, 1), dhh1, dhz1, droot;
+    Matrix dout(1, 1), dhh1, droot;
     dout(0, 0) = HuberGrad(residual);
-    head2_.BackwardCached(hc2, dout, &dhh1);
-    dhz1 = dhh1;
-    for (size_t i = 0; i < dhz1.size(); ++i) {
-      if (hz1.data()[i] <= 0.0) dhz1.data()[i] = 0.0;
-    }
-    head1_.BackwardCached(hc1, dhz1, &droot);
+    BackwardAndAccumulate(&head2_, head.c2, dout, &dhh1);
+    nn::ReluBackwardInto(head.z1, dhh1, &dhh1);
+    BackwardAndAccumulate(&head1_, head.c1, dhh1, &droot);
 
     // Top-down through the message graph: preorder guarantees parents
     // finish before their children are visited.
     std::vector<Matrix> dmsg(plan.size());
     dmsg[static_cast<size_t>(plan.root())] = droot;
     for (int32_t id : plan.DfsOrder()) {
-      NodeState& s = states[static_cast<size_t>(id)];
+      const NodeState& s = states[static_cast<size_t>(id)];
       Matrix& grad = dmsg[static_cast<size_t>(id)];
       if (grad.empty()) grad = Matrix(1, md);
       // Through the trailing ReLU of the message.
-      Matrix dz2 = grad;
-      for (size_t i = 0; i < dz2.size(); ++i) {
-        if (s.z2.data()[i] <= 0.0) dz2.data()[i] = 0.0;
-      }
-      Matrix dh1, dz1, dinput;
-      fc2_[static_cast<size_t>(s.type)].BackwardCached(s.c2, dz2, &dh1);
-      dz1 = dh1;
-      for (size_t i = 0; i < dz1.size(); ++i) {
-        if (s.z1.data()[i] <= 0.0) dz1.data()[i] = 0.0;
-      }
-      fc1_[static_cast<size_t>(s.type)].BackwardCached(s.c1, dz1, &dinput);
+      Matrix dz2, dh1, dinput;
+      nn::ReluBackwardInto(s.z2, grad, &dz2);
+      BackwardAndAccumulate(&fc2_[static_cast<size_t>(s.type)], s.c2, dz2,
+                            &dh1);
+      nn::ReluBackwardInto(s.z1, dh1, &dh1);
+      BackwardAndAccumulate(&fc1_[static_cast<size_t>(s.type)], s.c1, dh1,
+                            &dinput);
       const auto& children = plan.node(id).children;
       if (!children.empty()) {
         const double inv = 1.0 / static_cast<double>(children.size());
@@ -186,13 +154,11 @@ void ZeroShot::Train(const std::vector<plan::QueryPlan>& plans) {
 }
 
 double ZeroShot::PredictMs(const plan::QueryPlan& plan) const {
-  const Matrix root_msg = ForwardNode(plan, plan.root(), nullptr);
-  Matrix hz1, hh1, out;
-  head1_.ForwardInference(root_msg, &hz1);
-  hh1 = hz1;
-  ReluInPlace(&hh1);
-  head2_.ForwardInference(hh1, &out);
-  return ClampPredictionMs(scalers_.time.InverseTransform(out(0, 0)));
+  std::vector<NodeState> states(plan.size());
+  HeadState head;
+  const double pred =
+      HeadForward(ForwardNode(plan, plan.root(), &states), &head);
+  return ClampPredictionMs(scalers_.time.InverseTransform(pred));
 }
 
 size_t ZeroShot::ParameterCount() const {

@@ -42,17 +42,25 @@ class ZeroShot : public core::CostEstimator {
 
   struct NodeState {
     nn::Linear::ExternalCache c1, c2;
-    nn::Matrix z1, z2;
+    nn::Matrix z1, h1, z2;
+    nn::Matrix msg;  // (1 × message_dim)
     int type = 0;
-    size_t num_children = 0;
+  };
+  struct HeadState {
+    nn::Linear::ExternalCache c1, c2;
+    nn::Matrix z1, h1, out;
   };
 
   nn::Matrix NodeInput(const plan::PlanNode& node,
                        const nn::Matrix& child_mean) const;
 
-  // Post-order forward; returns the node's hidden message (1 × message_dim).
-  nn::Matrix ForwardNode(const plan::QueryPlan& plan, int32_t id,
-                         std::vector<NodeState>* states) const;
+  // Post-order forward over node `id`; fills states (indexed by node id,
+  // sized to the plan) and returns the node's hidden message.
+  const nn::Matrix& ForwardNode(const plan::QueryPlan& plan, int32_t id,
+                                std::vector<NodeState>* states) const;
+
+  // Root message → scaled-log-time prediction.
+  double HeadForward(const nn::Matrix& root_msg, HeadState* hs) const;
 
   std::vector<nn::Parameter*> Parameters();
 

@@ -249,12 +249,16 @@ void DaceModel::SetTrainMode(bool train_base, bool train_lora) {
   fc3_.SetTrainLora(train_lora);
 }
 
-double DaceModel::ForwardBackward(const PlanFeatures& f, Workspace* ws) const {
-  const size_t n = f.node_features.rows();
+void DaceModel::ForwardHidden(const PlanFeatures& f, Workspace* ws) const {
   attention_.ForwardCached(f.node_features, f.attention_mask, &ws->attn_c,
                            &ws->attn);
   fc1_.ForwardReluCached(ws->attn, &ws->fc1_c, &ws->z1, &ws->h1);
   fc2_.ForwardReluCached(ws->h1, &ws->fc2_c, &ws->z2, &ws->h2);
+}
+
+double DaceModel::ForwardBackward(const PlanFeatures& f, Workspace* ws) const {
+  const size_t n = f.node_features.rows();
+  ForwardHidden(f, ws);
   fc3_.ForwardCached(ws->h2, &ws->fc3_c, &ws->pred);  // (n × 1)
 
   double weight_sum = 0.0;
@@ -273,9 +277,9 @@ double DaceModel::ForwardBackward(const PlanFeatures& f, Workspace* ws) const {
   }
 
   fc3_.BackwardCached(ws->fc3_c, ws->dpred, &ws->fc3_g, &ws->dh2);
-  relu2_.BackwardCached(ws->z2, ws->dh2, &ws->dh2_pre);
+  nn::ReluBackwardInto(ws->z2, ws->dh2, &ws->dh2_pre);
   fc2_.BackwardCached(ws->fc2_c, ws->dh2_pre, &ws->fc2_g, &ws->dh1);
-  relu1_.BackwardCached(ws->z1, ws->dh1, &ws->dh1_pre);
+  nn::ReluBackwardInto(ws->z1, ws->dh1, &ws->dh1_pre);
   fc1_.BackwardCached(ws->fc1_c, ws->dh1_pre, &ws->fc1_g, &ws->dattn);
   attention_.BackwardCached(ws->attn_c, ws->dattn, &ws->attn_g, &ws->ds);
   return loss;
@@ -477,10 +481,7 @@ StudentTrainStats DaceModel::DistillStudent(
 
 void DaceModel::PredictAllInto(const PlanFeatures& f, Workspace* ws,
                                std::vector<double>* out) const {
-  attention_.ForwardCached(f.node_features, f.attention_mask, &ws->attn_c,
-                           &ws->attn);
-  fc1_.ForwardReluCached(ws->attn, &ws->fc1_c, &ws->z1, &ws->h1);
-  fc2_.ForwardReluCached(ws->h1, &ws->fc2_c, &ws->z2, &ws->h2);
+  ForwardHidden(f, ws);
   fc3_.ForwardCached(ws->h2, &ws->fc3_c, &ws->pred);
   out->resize(ws->pred.rows());
   for (size_t i = 0; i < ws->pred.rows(); ++i) (*out)[i] = ws->pred(i, 0);
@@ -663,15 +664,10 @@ void DaceModel::ForwardPackedF32(std::span<const PlanFeatures* const> feats,
 }
 
 std::vector<double> DaceModel::EncodeRoot(const PlanFeatures& f) const {
-  Matrix attn, z1, h1, z2, h2;
-  attention_.ForwardInference(f.node_features, f.attention_mask, &attn);
-  fc1_.ForwardInference(attn, &z1);
-  relu1_.ForwardInference(z1, &h1);
-  fc2_.ForwardInference(h1, &z2);
-  relu2_.ForwardInference(z2, &h2);
-  std::vector<double> out(h2.cols());
-  for (size_t j = 0; j < h2.cols(); ++j) out[j] = h2(0, j);
-  return out;
+  Workspace ws;
+  ForwardHidden(f, &ws);
+  const double* root = ws.h2.RowPtr(0);
+  return std::vector<double>(root, root + ws.h2.cols());
 }
 
 size_t DaceModel::ParameterCount() const {

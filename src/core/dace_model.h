@@ -232,6 +232,10 @@ class DaceModel {
   Status LoadSections(CheckpointReader* r);
 
  private:
+  // Attention and the two ReLU layers on one plan through `ws`, leaving the
+  // hidden state of every DFS row in ws->h2. Const on the weights.
+  void ForwardHidden(const featurize::PlanFeatures& f, Workspace* ws) const;
+
   // Forward + backward on one plan through `ws`: backpropagates the
   // loss-adjusted Huber loss on scaled log-time into the workspace's
   // gradient sinks. Const on the weights, so chunk workers run it
@@ -277,7 +281,6 @@ class DaceModel {
   Rng rng_;
   nn::TreeAttention attention_;
   nn::Linear fc1_, fc2_, fc3_;
-  nn::Relu relu1_, relu2_;
   bool lora_attached_ = false;
   uint64_t weights_version_ = 1;
   ThreadPool* pool_ = nullptr;

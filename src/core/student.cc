@@ -123,11 +123,10 @@ StudentTrainStats StudentModel::Train(const nn::Matrix& inputs,
         fc1_.InitGradients(&ws.g1);
         fc2_.InitGradients(&ws.g2);
         fc3_.InitGradients(&ws.g3);
-        nn::Relu relu;
         fc3_.BackwardCached(ws.c3, ws.dout, &ws.g3, &ws.dh2);
-        relu.BackwardCached(ws.z2, ws.dh2, &ws.dz2);
+        nn::ReluBackwardInto(ws.z2, ws.dh2, &ws.dz2);
         fc2_.BackwardCached(ws.c2, ws.dz2, &ws.g2, &ws.dh1);
-        relu.BackwardCached(ws.z1, ws.dh1, &ws.dz1);
+        nn::ReluBackwardInto(ws.z1, ws.dh1, &ws.dz1);
         fc1_.BackwardCached(ws.c1, ws.dz1, &ws.g1, &ws.dx);
       });
 

@@ -38,64 +38,6 @@ void Linear::AttachLora(size_t rank, Rng* rng) {
   lora_b_.ResetGrad();
 }
 
-const Matrix& Linear::Forward(const Matrix& x) {
-  DACE_CHECK_EQ(x.cols(), in_dim());
-  x_cache_ = x;
-  MatMulBias(x, w_.value, b_.value, &y_);
-  if (lora_rank_ > 0) {
-    MatMul(x, lora_a_.value, &xa_cache_);
-    MatMul(xa_cache_, lora_b_.value, &scratch_);
-    y_.AddScaled(scratch_, lora_scale_);
-  }
-  return y_;
-}
-
-void Linear::ForwardInference(const Matrix& x, Matrix* y) const {
-  DACE_CHECK_EQ(x.cols(), in_dim());
-  MatMulBias(x, w_.value, b_.value, y);
-  if (lora_rank_ > 0) {
-    Matrix xa, xab;
-    MatMul(x, lora_a_.value, &xa);
-    MatMul(xa, lora_b_.value, &xab);
-    y->AddScaled(xab, lora_scale_);
-  }
-}
-
-void Linear::Backward(const Matrix& dy, Matrix* dx) {
-  DACE_CHECK_EQ(dy.rows(), x_cache_.rows());
-  DACE_CHECK_EQ(dy.cols(), out_dim());
-  if (train_base_) {
-    Matrix dw;
-    MatMulTransposedA(x_cache_, dy, &dw);
-    w_.grad.AddScaled(dw, 1.0);
-    double* db = b_.grad.RowPtr(0);
-    for (size_t i = 0; i < dy.rows(); ++i) {
-      const double* row = dy.RowPtr(i);
-      for (size_t j = 0; j < dy.cols(); ++j) db[j] += row[j];
-    }
-  }
-  // dx = dy W^T (+ LoRA path).
-  MatMulTransposedB(dy, w_.value, dx);
-  if (lora_rank_ > 0) {
-    if (train_lora_) {
-      Matrix dlb;
-      MatMulTransposedA(xa_cache_, dy, &dlb);  // (r × out)
-      lora_b_.grad.AddScaled(dlb, lora_scale_);
-      Matrix d_xa;  // (n × r)
-      MatMulTransposedB(dy, lora_b_.value, &d_xa);
-      Matrix dla;
-      MatMulTransposedA(x_cache_, d_xa, &dla);  // (in × r)
-      lora_a_.grad.AddScaled(dla, lora_scale_);
-    }
-    // dx += scale * dy B^T A^T
-    Matrix d_xa;
-    MatMulTransposedB(dy, lora_b_.value, &d_xa);
-    Matrix dx_lora;
-    MatMulTransposedB(d_xa, lora_a_.value, &dx_lora);
-    dx->AddScaled(dx_lora, lora_scale_);
-  }
-}
-
 void Linear::ForwardCached(const Matrix& x, ExternalCache* cache,
                            Matrix* y) const {
   DACE_CHECK_EQ(x.cols(), in_dim());
@@ -169,42 +111,6 @@ void Linear::AccumulateGradients(Gradients* g) {
     lora_b_.grad.AddScaled(g->dlb, lora_scale_);
     g->dla.SetZero();
     g->dlb.SetZero();
-  }
-}
-
-void Linear::BackwardCached(const ExternalCache& cache, const Matrix& dy,
-                            Matrix* dx) {
-  DACE_CHECK_EQ(dy.rows(), cache.x.rows());
-  DACE_CHECK_EQ(dy.cols(), out_dim());
-  if (train_base_) {
-    Matrix dw;
-    MatMulTransposedA(cache.x, dy, &dw);
-    w_.grad.AddScaled(dw, 1.0);
-    double* db = b_.grad.RowPtr(0);
-    for (size_t i = 0; i < dy.rows(); ++i) {
-      const double* row = dy.RowPtr(i);
-      for (size_t j = 0; j < dy.cols(); ++j) db[j] += row[j];
-    }
-  }
-  MatMulTransposedB(dy, w_.value, dx);
-  if (lora_rank_ > 0) {
-    if (train_lora_) {
-      Matrix xa;
-      MatMul(cache.x, lora_a_.value, &xa);
-      Matrix dlb;
-      MatMulTransposedA(xa, dy, &dlb);
-      lora_b_.grad.AddScaled(dlb, lora_scale_);
-      Matrix d_xa;
-      MatMulTransposedB(dy, lora_b_.value, &d_xa);
-      Matrix dla;
-      MatMulTransposedA(cache.x, d_xa, &dla);
-      lora_a_.grad.AddScaled(dla, lora_scale_);
-    }
-    Matrix d_xa;
-    MatMulTransposedB(dy, lora_b_.value, &d_xa);
-    Matrix dx_lora;
-    MatMulTransposedB(d_xa, lora_a_.value, &dx_lora);
-    dx->AddScaled(dx_lora, lora_scale_);
   }
 }
 
@@ -287,32 +193,6 @@ Status Linear::Deserialize(ByteReader* r) {
   return Status::OK();
 }
 
-// ------------------------------------------------------------------ Relu --
-
-const Matrix& Relu::Forward(const Matrix& x) {
-  x_cache_ = x;
-  ForwardInference(x, &y_);
-  return y_;
-}
-
-void Relu::ForwardInference(const Matrix& x, Matrix* y) const {
-  ReluInto(x, y);
-}
-
-void Relu::Backward(const Matrix& dy, Matrix* dx) {
-  BackwardCached(x_cache_, dy, dx);
-}
-
-void Relu::BackwardCached(const Matrix& x_cache, const Matrix& dy,
-                          Matrix* dx) const {
-  DACE_CHECK(dy.SameShape(x_cache));
-  if (!dx->SameShape(dy)) *dx = Matrix(dy.rows(), dy.cols());
-  const double* g = dy.data();
-  const double* x = x_cache.data();
-  double* out = dx->data();
-  for (size_t i = 0; i < dy.size(); ++i) out[i] = x[i] > 0.0 ? g[i] : 0.0;
-}
-
 // --------------------------------------------------------- TreeAttention --
 
 void TreeAttention::Init(size_t d_model, size_t d_k, size_t d_v, Rng* rng) {
@@ -326,34 +206,6 @@ void TreeAttention::Init(size_t d_model, size_t d_k, size_t d_v, Rng* rng) {
   wv_.value.FillGaussian(rng, XavierStd(d_model, d_v));
   wv_.ResetGrad();
   inv_sqrt_dk_ = 1.0 / std::sqrt(static_cast<double>(d_k));
-}
-
-const Matrix& TreeAttention::Forward(const Matrix& s, const Matrix& mask) {
-  DACE_CHECK_EQ(s.cols(), wq_.value.rows());
-  DACE_CHECK_EQ(mask.rows(), s.rows());
-  DACE_CHECK_EQ(mask.cols(), s.rows());
-  s_cache_ = s;
-  MatMul(s, wq_.value, &q_);
-  MatMul(s, wk_.value, &k_);
-  MatMul(s, wv_.value, &v_);
-  Matrix scores;
-  MatMulTransposedB(q_, k_, &scores);
-  scores.Scale(inv_sqrt_dk_);
-  MaskedRowSoftmax(scores, mask, &probs_);
-  MatMul(probs_, v_, &out_);
-  return out_;
-}
-
-void TreeAttention::ForwardInference(const Matrix& s, const Matrix& mask,
-                                     Matrix* out) const {
-  Matrix q, k, v, scores, probs;
-  MatMul(s, wq_.value, &q);
-  MatMul(s, wk_.value, &k);
-  MatMul(s, wv_.value, &v);
-  MatMulTransposedB(q, k, &scores);
-  scores.Scale(inv_sqrt_dk_);
-  MaskedRowSoftmax(scores, mask, &probs);
-  MatMul(probs, v, out);
 }
 
 void TreeAttention::ForwardCached(const Matrix& s, const Matrix& mask,
@@ -425,53 +277,6 @@ void TreeAttention::AccumulateGradients(Gradients* g) {
   g->dwq.SetZero();
   g->dwk.SetZero();
   g->dwv.SetZero();
-}
-
-void TreeAttention::Backward(const Matrix& dy, Matrix* ds) {
-  const size_t n = s_cache_.rows();
-  DACE_CHECK_EQ(dy.rows(), n);
-  DACE_CHECK_EQ(dy.cols(), v_.cols());
-
-  // out = P V.
-  Matrix d_probs;
-  MatMulTransposedB(dy, v_, &d_probs);  // (n × n)
-  Matrix dv;
-  MatMulTransposedA(probs_, dy, &dv);  // (n × d_v) via P^T dy
-
-  // Softmax backward per row: dscore = P ⊙ (dP − sum_j dP_j P_j).
-  Matrix d_scores(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    const double* prow = probs_.RowPtr(i);
-    const double* dprow = d_probs.RowPtr(i);
-    double dot = 0.0;
-    for (size_t j = 0; j < n; ++j) dot += prow[j] * dprow[j];
-    double* drow = d_scores.RowPtr(i);
-    for (size_t j = 0; j < n; ++j) drow[j] = prow[j] * (dprow[j] - dot);
-  }
-  d_scores.Scale(inv_sqrt_dk_);
-
-  // scores = Q K^T (pre-scale): dQ = dS K, dK = dS^T Q.
-  Matrix dq, dk;
-  MatMul(d_scores, k_, &dq);
-  MatMulTransposedA(d_scores, q_, &dk);
-
-  if (train_base_) {
-    Matrix tmp;
-    MatMulTransposedA(s_cache_, dq, &tmp);
-    wq_.grad.AddScaled(tmp, 1.0);
-    MatMulTransposedA(s_cache_, dk, &tmp);
-    wk_.grad.AddScaled(tmp, 1.0);
-    MatMulTransposedA(s_cache_, dv, &tmp);
-    wv_.grad.AddScaled(tmp, 1.0);
-  }
-
-  // dS = dQ Wq^T + dK Wk^T + dV Wv^T.
-  MatMulTransposedB(dq, wq_.value, ds);
-  Matrix tmp;
-  MatMulTransposedB(dk, wk_.value, &tmp);
-  ds->AddScaled(tmp, 1.0);
-  MatMulTransposedB(dv, wv_.value, &tmp);
-  ds->AddScaled(tmp, 1.0);
 }
 
 void TreeAttention::CollectParameters(std::vector<Parameter*>* out) {

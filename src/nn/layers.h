@@ -71,32 +71,19 @@ class Linear {
   // starts as the identity perturbation).
   void AttachLora(size_t rank, Rng* rng);
 
-  // Forward pass; caches the input for Backward.
-  // x: (n × in_dim) → returns (n × out_dim).
-  const Matrix& Forward(const Matrix& x);
-
-  // Same math as Forward but without caching; safe for concurrent inference
-  // paths and does not disturb training state.
-  void ForwardInference(const Matrix& x, Matrix* y) const;
-
-  // dy: (n × out_dim). Accumulates parameter gradients (respecting
-  // train_base/train_lora) and returns d/dx in *dx.
-  void Backward(const Matrix& dy, Matrix* dx);
-
-  // Caller-owned-cache variants for models that apply the SAME layer at many
-  // tree positions within one forward pass (QPPNet/TPool/Zero-Shot recursive
-  // encoders): the internal single-slot cache would be clobbered, so the
-  // caller keeps one ExternalCache per application site. They are also the
-  // concurrency story: Forward/Backward through caller-owned caches and
-  // gradient sinks are const on the layer, so any number of workers can share
-  // one set of weights. All matrices inside the cache are reused across
-  // calls — after the first call with a given shape the path allocates
-  // nothing.
+  // The layer holds only its parameters: every activation a backward pass
+  // needs lives in the caller's ExternalCache, one per application site
+  // (models that apply the same layer at many tree positions within one
+  // forward pass keep one cache per position). Forward is const on the
+  // layer, so any number of workers can share one set of weights. All
+  // matrices inside the cache are reused across calls — after the first
+  // call with a given shape the path allocates nothing.
   struct ExternalCache {
     Matrix x;
     Matrix xa;   // x · A when LoRA is attached (needed for backward)
     Matrix xab;  // (x · A) · B scratch
   };
+  // y = x W + b (+ LoRA). x: (n × in_dim) → y: (n × out_dim).
   void ForwardCached(const Matrix& x, ExternalCache* cache, Matrix* y) const;
   // Fused forward + ReLU: z = x W + b (+ LoRA), h = relu(z). Without LoRA the
   // ReLU runs in the matmul epilogue while each output tile is cache-hot;
@@ -105,13 +92,13 @@ class Linear {
   // layer's input), which is why this lives here rather than a fused layer.
   void ForwardReluCached(const Matrix& x, ExternalCache* cache, Matrix* z,
                          Matrix* h) const;
-  void BackwardCached(const ExternalCache& cache, const Matrix& dy, Matrix* dx);
 
   // Caller-owned gradient sink, one per concurrent worker: BackwardCached
-  // accumulates here instead of the layer's internal Parameter::grad, and
-  // AccumulateGradients folds the sink into the internal gradients (then
-  // zeroes the sink) on the coordinating thread. Reducing sinks in a fixed
-  // order makes data-parallel training bit-deterministic for any pool size.
+  // accumulates here instead of the layer's Parameter::grad, and
+  // AccumulateGradients folds the sink into Parameter::grad (then zeroes the
+  // sink) on the coordinating thread. Reducing sinks in a fixed order makes
+  // data-parallel training bit-deterministic for any pool size. A
+  // single-threaded trainer folds its sink right after each BackwardCached.
   // LoRA sink entries are pre-scale; AccumulateGradients applies lora_scale.
   struct Gradients {
     Matrix dw, db;    // base
@@ -172,30 +159,6 @@ class Linear {
   double lora_scale_ = 1.0;
   bool train_base_ = true;
   bool train_lora_ = false;
-
-  // caches
-  Matrix x_cache_;
-  Matrix xa_cache_;  // x · A, needed for LoRA backward
-  Matrix y_;
-  mutable Matrix scratch_;
-};
-
-// Elementwise ReLU with cached mask.
-class Relu {
- public:
-  const Matrix& Forward(const Matrix& x);
-  void ForwardInference(const Matrix& x, Matrix* y) const;
-  void Backward(const Matrix& dy, Matrix* dx);
-
-  // Stateless variant of the ExternalCache idiom: ReLU's only "cache" is its
-  // input, which concurrent workers already hold, so the caller passes it
-  // back explicitly. Const — safe from any number of threads.
-  void BackwardCached(const Matrix& x_cache, const Matrix& dy,
-                      Matrix* dx) const;
-
- private:
-  Matrix x_cache_;
-  Matrix y_;
 };
 
 // Single-head scaled-dot-product attention with an additive mask — the
@@ -207,18 +170,10 @@ class TreeAttention {
  public:
   void Init(size_t d_model, size_t d_k, size_t d_v, Rng* rng);
 
-  // s: (n × d_model), mask: (n × n) additive. Returns (n × d_v).
-  const Matrix& Forward(const Matrix& s, const Matrix& mask);
-  void ForwardInference(const Matrix& s, const Matrix& mask, Matrix* out) const;
-
-  // dy: (n × d_v) → ds: (n × d_model); accumulates Wq/Wk/Wv gradients.
-  void Backward(const Matrix& dy, Matrix* ds);
-
-  // Caller-owned-cache variants (same idiom as Linear::ExternalCache): const
-  // on the weights so concurrent workers can share one attention layer, and
-  // every intermediate lives in the caller's cache/sink — zero allocation
-  // once shapes warm up. ForwardCached is also the allocation-free inference
-  // path (ForwardInference allocates five temporaries per call).
+  // Same idiom as Linear: the layer holds only Wq/Wk/Wv, every intermediate
+  // lives in the caller's cache and gradient sink, so concurrent workers can
+  // share one attention layer and the path allocates nothing once shapes
+  // warm up.
   struct Cache {
     Matrix s;            // input (needed for weight gradients)
     Matrix q, k, v;      // projections
@@ -230,9 +185,12 @@ class TreeAttention {
     Matrix d_probs, d_scores, dq, dk, dv;  // backward scratch
     Matrix tmp;
   };
+  // s: (n × d_model), mask: (n × n) additive → out: (n × d_v).
   void ForwardCached(const Matrix& s, const Matrix& mask, Cache* cache,
                      Matrix* out) const;
   void InitGradients(Gradients* g) const;
+  // dy: (n × d_v) → ds: (n × d_model); accumulates Wq/Wk/Wv gradients
+  // into g.
   void BackwardCached(const Cache& cache, const Matrix& dy, Gradients* g,
                       Matrix* ds) const;
   // grad += g, then zeroes g; serialize calls, fixed order for determinism.
@@ -263,12 +221,6 @@ class TreeAttention {
   Parameter wq_, wk_, wv_;  // (d_model × d_k/d_k/d_v)
   double inv_sqrt_dk_ = 1.0;
   bool train_base_ = true;
-
-  // caches
-  Matrix s_cache_;
-  Matrix q_, k_, v_;
-  Matrix probs_;  // post-softmax attention (n × n)
-  Matrix out_;
 };
 
 // Adam optimizer over externally-owned parameters.

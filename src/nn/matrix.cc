@@ -204,6 +204,15 @@ void ReluInto(const Matrix& z, Matrix* h) {
   kernel::Active().relu(z.size(), z.data(), h->data());
 }
 
+void ReluBackwardInto(const Matrix& z, const Matrix& dy, Matrix* dx) {
+  DACE_CHECK(dy.SameShape(z));
+  Reshape(dx, dy.rows(), dy.cols());
+  const double* zp = z.data();
+  const double* g = dy.data();
+  double* out = dx->data();
+  for (size_t i = 0; i < dy.size(); ++i) out[i] = zp[i] > 0.0 ? g[i] : 0.0;
+}
+
 void MaskedRowSoftmax(const Matrix& in, const Matrix& mask, Matrix* out) {
   DACE_CHECK(in.SameShape(mask));
   Reshape(out, in.rows(), in.cols());

@@ -175,6 +175,10 @@ void MatMulTransposedAAcc(const Matrix& a, const Matrix& b, Matrix* out);
 // Elementwise h = max(z, 0) (shapes must match; resizes *h if needed).
 void ReluInto(const Matrix& z, Matrix* h);
 
+// ReLU backward from the pre-activation: dx = dy where z > 0, else 0. `dx`
+// may alias `dy` (the mask is then applied in place).
+void ReluBackwardInto(const Matrix& z, const Matrix& dy, Matrix* dx);
+
 // Row-wise softmax with an additive mask applied before normalisation:
 // out(i,j) = softmax_j(in(i,j) + mask(i,j)). Mask entries of -infinity
 // (any value <= kMaskNegInf) force a zero probability. Each row must have at

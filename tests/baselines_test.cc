@@ -31,6 +31,37 @@ TrainOptions FastTrain() {
   return opts;
 }
 
+// ------------------------------------------------ BackwardAndAccumulate ----
+
+// The baseline trainers fold every backward into Parameter::grad at once.
+// The bias gradient must take dy's rows one at a time onto the running
+// gradient, (G + r0) + r1, as these trainers always have: summing the rows
+// first, G + (r0 + r1), rounds differently and changes trained weights. The
+// values are chosen so the two orders differ.
+TEST(BackwardAndAccumulateTest, BiasRowsLandOnTheRunningGradient) {
+  Rng rng(3);
+  nn::Linear layer;
+  layer.Init(2, 1, &rng);
+  std::vector<nn::Parameter*> params;
+  layer.CollectAllParameters(&params);
+  nn::Parameter* bias = params[1];
+
+  nn::Linear::ExternalCache cache;
+  nn::Matrix y, dx;
+  layer.ForwardCached(nn::Matrix(1, 2, {1.0, 2.0}), &cache, &y);
+  BackwardAndAccumulate(&layer, cache, nn::Matrix(1, 1, {1.0}), &dx);
+  ASSERT_EQ(bias->grad(0, 0), 1.0);
+
+  layer.ForwardCached(nn::Matrix(2, 2, {1.0, 2.0, 3.0, 4.0}), &cache, &y);
+  BackwardAndAccumulate(&layer, cache, nn::Matrix(2, 1, {1e-16, 1e-16}),
+                        &dx);
+  const double rows_in_order = (1.0 + 1e-16) + 1e-16;
+  ASSERT_NE(rows_in_order, 1.0 + (1e-16 + 1e-16));
+  EXPECT_EQ(bias->grad(0, 0), rows_in_order);
+  // The weight gradient is the usual fresh x^T dy added once per call.
+  EXPECT_EQ(params[0]->grad(0, 0), 1.0 + (1.0 * 1e-16 + 3.0 * 1e-16));
+}
+
 // ----------------------------------------------------- PostgresLinear ----
 
 TEST(PostgresLinearTest, RecoversExactLinearRelation) {

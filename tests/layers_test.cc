@@ -40,22 +40,71 @@ double NumericGrad(Parameter* param, size_t index,
   return (plus - minus) / (2.0 * eps);
 }
 
+// Forward through a throwaway cache (the layers keep no activation state).
+Matrix Forward(const Linear& layer, const Matrix& x) {
+  Linear::ExternalCache cache;
+  Matrix y;
+  layer.ForwardCached(x, &cache, &y);
+  return y;
+}
+
+Matrix Forward(const TreeAttention& attn, const Matrix& s, const Matrix& mask) {
+  TreeAttention::Cache cache;
+  Matrix out;
+  attn.ForwardCached(s, mask, &cache, &out);
+  return out;
+}
+
+// Forward + backward of `dy` through a gradient sink folded into
+// Parameter::grad, the way a single-threaded trainer drives a layer.
+// Returns d/dx.
+Matrix Backward(Linear* layer, const Matrix& x, const Matrix& dy) {
+  Linear::ExternalCache cache;
+  Matrix y, dx;
+  layer->ForwardCached(x, &cache, &y);
+  Linear::Gradients g;
+  layer->InitGradients(&g);
+  layer->BackwardCached(cache, dy, &g, &dx);
+  layer->AccumulateGradients(&g);
+  return dx;
+}
+
+Matrix Backward(TreeAttention* attn, const Matrix& s, const Matrix& mask,
+                const Matrix& dy) {
+  TreeAttention::Cache cache;
+  Matrix out, ds;
+  attn->ForwardCached(s, mask, &cache, &out);
+  TreeAttention::Gradients g;
+  attn->InitGradients(&g);
+  attn->BackwardCached(cache, dy, &g, &ds);
+  attn->AccumulateGradients(&g);
+  return ds;
+}
+
+void ExpectBitwiseEqual(const Matrix& a, const Matrix& b) {
+  ASSERT_TRUE(a.SameShape(b));
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.data()[i], b.data()[i]) << "entry " << i;
+  }
+}
+
 // ------------------------------------------------------------- Linear ----
 
 TEST(LinearTest, ForwardComputesAffineMap) {
   Rng rng(1);
   Linear layer;
-  layer.Init(2, 2, &rng);
-  // Overwrite with known weights via gradient-free access: run a forward on
-  // the identity and reconstruct.
-  Matrix x(1, 2, {1.0, 0.0});
-  Matrix y;
-  layer.ForwardInference(x, &y);
-  // y should be first row of W plus bias(0) — verify consistency between the
-  // caching and non-caching paths instead of exact values.
-  const Matrix& y2 = layer.Forward(x);
-  EXPECT_DOUBLE_EQ(y(0, 0), y2(0, 0));
-  EXPECT_DOUBLE_EQ(y(0, 1), y2(0, 1));
+  layer.Init(3, 2, &rng);
+  const Matrix x = RandomMatrix(4, 3, 2);
+  const Matrix y = Forward(layer, x);
+  ASSERT_EQ(y.rows(), 4u);
+  ASSERT_EQ(y.cols(), 2u);
+  for (size_t i = 0; i < 4; ++i) {
+    for (size_t j = 0; j < 2; ++j) {
+      double expected = layer.bias()(0, j);
+      for (size_t k = 0; k < 3; ++k) expected += x(i, k) * layer.weight()(k, j);
+      EXPECT_NEAR(y(i, j), expected, 1e-12);
+    }
+  }
 }
 
 TEST(LinearTest, GradientCheckBaseWeights) {
@@ -65,15 +114,9 @@ TEST(LinearTest, GradientCheckBaseWeights) {
   const Matrix x = RandomMatrix(5, 4, 3);
   const Matrix coeff = RandomMatrix(5, 3, 4);
 
-  const auto loss = [&]() {
-    Matrix y;
-    layer.ForwardInference(x, &y);
-    return WeightedSum(y, coeff);
-  };
+  const auto loss = [&]() { return WeightedSum(Forward(layer, x), coeff); };
 
-  layer.Forward(x);
-  Matrix dx;
-  layer.Backward(coeff, &dx);
+  Backward(&layer, x, coeff);
 
   std::vector<Parameter*> params;
   layer.CollectAllParameters(&params);
@@ -91,23 +134,17 @@ TEST(LinearTest, GradientCheckInput) {
   Matrix x = RandomMatrix(2, 3, 6);
   const Matrix coeff = RandomMatrix(2, 2, 7);
 
-  layer.Forward(x);
-  Matrix dx;
-  layer.Backward(coeff, &dx);
+  const Matrix dx = Backward(&layer, x, coeff);
 
   for (size_t i = 0; i < x.size(); ++i) {
     const double original = x.data()[i];
     const double eps = 1e-5;
     x.data()[i] = original + eps;
-    Matrix yp;
-    layer.ForwardInference(x, &yp);
+    const double plus = WeightedSum(Forward(layer, x), coeff);
     x.data()[i] = original - eps;
-    Matrix ym;
-    layer.ForwardInference(x, &ym);
+    const double minus = WeightedSum(Forward(layer, x), coeff);
     x.data()[i] = original;
-    const double numeric =
-        (WeightedSum(yp, coeff) - WeightedSum(ym, coeff)) / (2 * eps);
-    EXPECT_NEAR(dx.data()[i], numeric, 1e-6);
+    EXPECT_NEAR(dx.data()[i], (plus - minus) / (2 * eps), 1e-6);
   }
 }
 
@@ -118,9 +155,8 @@ TEST(LinearTest, LoraStartsAsIdentityPerturbation) {
   Rng rng2(8);
   with_lora.Init(4, 3, &rng2, /*lora_rank=*/2);
   const Matrix x = RandomMatrix(3, 4, 9);
-  Matrix y1, y2;
-  plain.ForwardInference(x, &y1);
-  with_lora.ForwardInference(x, &y2);
+  const Matrix y1 = Forward(plain, x);
+  const Matrix y2 = Forward(with_lora, x);
   // B initialized to zero: the adapter contributes nothing initially.
   for (size_t i = 0; i < y1.size(); ++i) {
     EXPECT_NEAR(y1.data()[i], y2.data()[i], 1e-12);
@@ -142,14 +178,8 @@ TEST(LinearTest, GradientCheckLoraWeights) {
   layer.SetTrainLora(true);
   const Matrix x = RandomMatrix(4, 4, 12);
   const Matrix coeff = RandomMatrix(4, 3, 13);
-  const auto loss = [&]() {
-    Matrix y;
-    layer.ForwardInference(x, &y);
-    return WeightedSum(y, coeff);
-  };
-  layer.Forward(x);
-  Matrix dx;
-  layer.Backward(coeff, &dx);
+  const auto loss = [&]() { return WeightedSum(Forward(layer, x), coeff); };
+  Backward(&layer, x, coeff);
 
   // LoRA A and B get gradients; base stays zero.
   for (size_t i = 0; i < 6; ++i) {
@@ -160,6 +190,37 @@ TEST(LinearTest, GradientCheckLoraWeights) {
   }
   EXPECT_DOUBLE_EQ(params[0]->grad.SumAbs(), 0.0);
   EXPECT_DOUBLE_EQ(params[1]->grad.SumAbs(), 0.0);
+}
+
+// The baselines run every hidden layer through the fused path, so it must
+// reproduce ForwardCached + ReluInto to the bit, with and without LoRA.
+TEST(LinearTest, FusedReluMatchesUnfusedBitwise) {
+  for (const size_t rank : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE(rank);
+    Rng rng(40);
+    Linear layer;
+    layer.Init(37, 29, &rng, rank);
+    if (rank > 0) {
+      std::vector<Parameter*> params;
+      layer.CollectAllParameters(&params);
+      Rng rng2(41);
+      params[3]->value.FillGaussian(&rng2, 0.5);  // nonzero LoRA B
+    }
+    const Matrix x = RandomMatrix(11, 37, 42);
+
+    Linear::ExternalCache unfused_cache;
+    Matrix z_ref, h_ref;
+    layer.ForwardCached(x, &unfused_cache, &z_ref);
+    ReluInto(z_ref, &h_ref);
+
+    Linear::ExternalCache fused_cache;
+    Matrix z, h;
+    layer.ForwardReluCached(x, &fused_cache, &z, &h);
+    ExpectBitwiseEqual(z, z_ref);
+    ExpectBitwiseEqual(h, h_ref);
+    ExpectBitwiseEqual(fused_cache.x, unfused_cache.x);
+    ExpectBitwiseEqual(fused_cache.xa, unfused_cache.xa);
+  }
 }
 
 TEST(LinearTest, TrainModeControlsCollectedParams) {
@@ -180,38 +241,6 @@ TEST(LinearTest, TrainModeControlsCollectedParams) {
   EXPECT_EQ(params.size(), 4u);
 }
 
-TEST(LinearTest, ExternalCacheMatchesInternal) {
-  Rng rng(15);
-  Linear a, b;
-  a.Init(3, 2, &rng);
-  Rng rng2(15);
-  b.Init(3, 2, &rng2);
-  const Matrix x = RandomMatrix(4, 3, 16);
-  const Matrix dy = RandomMatrix(4, 2, 17);
-
-  a.Forward(x);
-  Matrix dx_internal;
-  a.Backward(dy, &dx_internal);
-
-  Linear::ExternalCache cache;
-  Matrix y;
-  b.ForwardCached(x, &cache, &y);
-  Matrix dx_external;
-  b.BackwardCached(cache, dy, &dx_external);
-
-  std::vector<Parameter*> pa, pb;
-  a.CollectAllParameters(&pa);
-  b.CollectAllParameters(&pb);
-  for (size_t p = 0; p < pa.size(); ++p) {
-    for (size_t i = 0; i < pa[p]->size(); ++i) {
-      EXPECT_NEAR(pa[p]->grad.data()[i], pb[p]->grad.data()[i], 1e-12);
-    }
-  }
-  for (size_t i = 0; i < dx_internal.size(); ++i) {
-    EXPECT_NEAR(dx_internal.data()[i], dx_external.data()[i], 1e-12);
-  }
-}
-
 TEST(LinearTest, ParameterCounts) {
   Rng rng(18);
   Linear layer;
@@ -227,8 +256,7 @@ TEST(LinearTest, SerializationRoundTrip) {
   Linear layer;
   layer.Init(4, 3, &rng, /*lora_rank=*/2);
   const Matrix x = RandomMatrix(2, 4, 20);
-  Matrix y_before;
-  layer.ForwardInference(x, &y_before);
+  const Matrix y_before = Forward(layer, x);
 
   dace::ByteWriter w;
   layer.Serialize(&w);
@@ -237,8 +265,7 @@ TEST(LinearTest, SerializationRoundTrip) {
   ASSERT_TRUE(restored.Deserialize(&r).ok());
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(restored.lora_rank(), 2u);
-  Matrix y_after;
-  restored.ForwardInference(x, &y_after);
+  const Matrix y_after = Forward(restored, x);
   for (size_t i = 0; i < y_before.size(); ++i) {
     EXPECT_DOUBLE_EQ(y_before.data()[i], y_after.data()[i]);
   }
@@ -247,25 +274,26 @@ TEST(LinearTest, SerializationRoundTrip) {
 // --------------------------------------------------------------- Relu ----
 
 TEST(ReluTest, ForwardClampsNegatives) {
-  Relu relu;
   Matrix x(1, 4, {-1.0, 0.0, 2.0, -3.0});
-  const Matrix& y = relu.Forward(x);
+  Matrix y;
+  ReluInto(x, &y);
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(0, 2), 2.0);
   EXPECT_DOUBLE_EQ(y(0, 3), 0.0);
 }
 
 TEST(ReluTest, BackwardMasksByInputSign) {
-  Relu relu;
   Matrix x(1, 4, {-1.0, 0.5, 2.0, -3.0});
-  relu.Forward(x);
   Matrix dy(1, 4, {1.0, 1.0, 1.0, 1.0});
   Matrix dx;
-  relu.Backward(dy, &dx);
+  ReluBackwardInto(x, dy, &dx);
   EXPECT_DOUBLE_EQ(dx(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(dx(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(dx(0, 2), 1.0);
   EXPECT_DOUBLE_EQ(dx(0, 3), 0.0);
+  // In place: the gradient buffer doubles as the output.
+  ReluBackwardInto(x, dy, &dy);
+  ExpectBitwiseEqual(dy, dx);
 }
 
 // ------------------------------------------------------ TreeAttention ----
@@ -286,23 +314,9 @@ TEST(TreeAttentionTest, OutputShape) {
   TreeAttention attn;
   attn.Init(6, 8, 5, &rng);
   const Matrix s = RandomMatrix(4, 6, 22);
-  const Matrix& out = attn.Forward(s, ChainMask(4));
+  const Matrix out = Forward(attn, s, ChainMask(4));
   EXPECT_EQ(out.rows(), 4u);
   EXPECT_EQ(out.cols(), 5u);
-}
-
-TEST(TreeAttentionTest, InferenceMatchesTraining) {
-  Rng rng(23);
-  TreeAttention attn;
-  attn.Init(6, 8, 5, &rng);
-  const Matrix s = RandomMatrix(4, 6, 24);
-  const Matrix mask = ChainMask(4);
-  const Matrix& out_train = attn.Forward(s, mask);
-  Matrix out_infer;
-  attn.ForwardInference(s, mask, &out_infer);
-  for (size_t i = 0; i < out_train.size(); ++i) {
-    EXPECT_NEAR(out_train.data()[i], out_infer.data()[i], 1e-12);
-  }
 }
 
 TEST(TreeAttentionTest, LeafAttendsOnlyToItself) {
@@ -312,12 +326,11 @@ TEST(TreeAttentionTest, LeafAttendsOnlyToItself) {
   TreeAttention attn;
   attn.Init(6, 8, 5, &rng);
   const Matrix s = RandomMatrix(4, 6, 26);
-  const Matrix& out = attn.Forward(s, ChainMask(4));
+  const Matrix out = Forward(attn, s, ChainMask(4));
   // Changing other rows must not change the last row's output.
   Matrix s2 = s;
   for (size_t j = 0; j < 6; ++j) s2(0, j) += 10.0;
-  Matrix out2;
-  attn.ForwardInference(s2, ChainMask(4), &out2);
+  const Matrix out2 = Forward(attn, s2, ChainMask(4));
   for (size_t j = 0; j < 5; ++j) {
     EXPECT_NEAR(out(3, j), out2(3, j), 1e-9);
   }
@@ -329,18 +342,16 @@ TEST(TreeAttentionTest, MaskBlocksInformationFlow) {
   TreeAttention attn;
   attn.Init(4, 4, 4, &rng);
   Matrix s = RandomMatrix(3, 4, 28);
-  const Matrix& out1 = attn.Forward(s, ChainMask(3));
-  Matrix out1_copy = out1;
+  const Matrix out1 = Forward(attn, s, ChainMask(3));
   s(1, 0) += 5.0;  // perturb node 1
-  Matrix out2;
-  attn.ForwardInference(s, ChainMask(3), &out2);
+  const Matrix out2 = Forward(attn, s, ChainMask(3));
   // Node 2 (deeper) unchanged; node 0 (root) changed.
   for (size_t j = 0; j < 4; ++j) {
-    EXPECT_NEAR(out1_copy(2, j), out2(2, j), 1e-9);
+    EXPECT_NEAR(out1(2, j), out2(2, j), 1e-9);
   }
   double root_delta = 0.0;
   for (size_t j = 0; j < 4; ++j) {
-    root_delta += std::fabs(out1_copy(0, j) - out2(0, j));
+    root_delta += std::fabs(out1(0, j) - out2(0, j));
   }
   EXPECT_GT(root_delta, 1e-6);
 }
@@ -354,14 +365,10 @@ TEST(TreeAttentionTest, GradientCheckParameters) {
   const Matrix coeff = RandomMatrix(4, 4, 31);
 
   const auto loss = [&]() {
-    Matrix y;
-    attn.ForwardInference(s, mask, &y);
-    return WeightedSum(y, coeff);
+    return WeightedSum(Forward(attn, s, mask), coeff);
   };
 
-  attn.Forward(s, mask);
-  Matrix ds;
-  attn.Backward(coeff, &ds);
+  Backward(&attn, s, mask, coeff);
 
   std::vector<Parameter*> params;
   attn.CollectAllParameters(&params);
@@ -381,23 +388,17 @@ TEST(TreeAttentionTest, GradientCheckInput) {
   const Matrix mask = ChainMask(3);
   const Matrix coeff = RandomMatrix(3, 3, 34);
 
-  attn.Forward(s, mask);
-  Matrix ds;
-  attn.Backward(coeff, &ds);
+  const Matrix ds = Backward(&attn, s, mask, coeff);
 
   for (size_t i = 0; i < s.size(); ++i) {
     const double original = s.data()[i];
     const double eps = 1e-5;
     s.data()[i] = original + eps;
-    Matrix yp;
-    attn.ForwardInference(s, mask, &yp);
+    const double plus = WeightedSum(Forward(attn, s, mask), coeff);
     s.data()[i] = original - eps;
-    Matrix ym;
-    attn.ForwardInference(s, mask, &ym);
+    const double minus = WeightedSum(Forward(attn, s, mask), coeff);
     s.data()[i] = original;
-    const double numeric =
-        (WeightedSum(yp, coeff) - WeightedSum(ym, coeff)) / (2 * eps);
-    EXPECT_NEAR(ds.data()[i], numeric, 1e-5);
+    EXPECT_NEAR(ds.data()[i], (plus - minus) / (2 * eps), 1e-5);
   }
 }
 
@@ -407,16 +408,14 @@ TEST(TreeAttentionTest, SerializationRoundTrip) {
   attn.Init(5, 6, 4, &rng);
   const Matrix s = RandomMatrix(3, 5, 36);
   const Matrix mask = ChainMask(3);
-  Matrix before;
-  attn.ForwardInference(s, mask, &before);
+  const Matrix before = Forward(attn, s, mask);
 
   dace::ByteWriter w;
   attn.Serialize(&w);
   dace::ByteReader r(w.buffer().data(), w.buffer().size());
   TreeAttention restored;
   ASSERT_TRUE(restored.Deserialize(&r).ok());
-  Matrix after;
-  restored.ForwardInference(s, mask, &after);
+  const Matrix after = Forward(restored, s, mask);
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_DOUBLE_EQ(before.data()[i], after.data()[i]);
   }
@@ -499,16 +498,13 @@ TEST_P(LinearFitTest, FitsRandomLinearMap) {
   adam.Register(params);
 
   for (int step = 0; step < 400; ++step) {
-    const Matrix& pred = layer.Forward(x);
-    Matrix dy = pred;
+    Matrix dy = Forward(layer, x);
     dy.AddScaled(y, -1.0);
     dy.Scale(2.0 / static_cast<double>(x.rows()));
-    Matrix dx;
-    layer.Backward(dy, &dx);
+    Backward(&layer, x, dy);
     adam.Step();
   }
-  Matrix pred;
-  layer.ForwardInference(x, &pred);
+  Matrix pred = Forward(layer, x);
   pred.AddScaled(y, -1.0);
   EXPECT_LT(pred.MaxAbs(), 0.05) << "seed " << seed;
 }

@@ -3,7 +3,9 @@
 # and serving layer:
 #
 #   1. native       — default build; AVX2+FMA kernels compiled in and selected
-#                     at runtime when the CPU supports them.
+#                     at runtime when the CPU supports them. Ends with a
+#                     flag smoke: a fig bench and an example given a
+#                     misspelled key must exit non-zero naming the key.
 #   2. scalar       — same binaries, DACE_KERNELS=scalar forces the blocked
 #                     scalar fallback, proving SIMD-off correctness.
 #   3. precision    — the kernel/layer/packed/differential/tiered suites
@@ -85,7 +87,11 @@
 #                     its accuracy budget (tiered_qerror_budget <= 1.05),
 #                     per-prediction accuracy tracking must stay in the
 #                     noise on the tiered hot path
-#                     (feedback_overhead_pct <= 2%), and candidate
+#                     (feedback_overhead_pct <= 2%), so must a trace
+#                     span plus a registry counter on the warm forward
+#                     (obs_overhead_pct <= 2%), the warm attention forward
+#                     and span recording must allocate nothing
+#                     (allocs/call == 0), and candidate
 #                     enumeration must cost little more than the plan
 #                     builds it needs (enumerate_per_candidate_vs_build
 #                     <= 5.0: enumeration time per kept candidate over
@@ -120,6 +126,19 @@ echo "==> [1/13] native build + tests"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
 run_ctest build env
+# Fail-loudly smoke: a misspelled scale flag must abort before any work
+# starts, naming the key, instead of silently running the default.
+for cmd in "./build/bench/bench_fig05_overall_accuracy --epochz=3" \
+           "./build/examples/quickstart --train_dbz=2"; do
+  if $cmd >/dev/null 2>/tmp/dace_flag_smoke.err; then
+    echo "FAIL: '$cmd' accepted a misspelled flag" >&2; exit 1
+  fi
+  key="${cmd##* --}"; key="${key%%=*}"
+  if ! grep -q -- "--$key" /tmp/dace_flag_smoke.err; then
+    echo "FAIL: '$cmd' did not name --$key on stderr" >&2; exit 1
+  fi
+done
+echo "    misspelled flags rejected by name"
 
 echo "==> [2/13] scalar-forced tests (same build, DACE_KERNELS=scalar)"
 run_ctest build env DACE_KERNELS=scalar
@@ -407,6 +426,27 @@ elif feedback["overhead_pct"] > 2.0:
         f"feedback tracking too expensive on the tiered hot path: "
         f"{feedback['overhead_pct']:+.2f}% > +2.00%")
 
+# Instrumentation must stay in the noise: one enabled trace span plus one
+# registry counter, measured in isolation, against the warm forward it would
+# wrap (the difference of two end-to-end timings swung -4%..+14%).
+obs = records.get("obs_overhead_pct")
+if obs is None:
+    failures.append("obs_overhead_pct record missing from BENCH_micro.json")
+elif obs["overhead_pct"] > 2.0:
+    failures.append(
+        f"span+counter too expensive on the warm forward: "
+        f"{obs['overhead_pct']:+.2f}% > +2.00%")
+
+# Warm caller-owned caches must make the attention forward and span
+# recording allocation-free.
+for name in ("BM_TreeAttentionForward/4", "BM_TreeAttentionForward/16",
+             "BM_TreeAttentionForward/64", "BM_ObsSpanCounter"):
+    rec = records.get(name)
+    if rec is None:
+        failures.append(f"{name} record missing from BENCH_micro.json")
+    elif rec["allocs/call"] != 0:
+        failures.append(f"{name}: {rec['allocs/call']} allocs/call (must be 0)")
+
 # Candidate enumeration must stay text-free: time per kept candidate over
 # BuildPlan time per plan, from the same run so host speed cancels. Printing
 # every candidate to deduplicate it read 33-41; structural keys plus skipping
@@ -439,6 +479,7 @@ print(f"    packed_f32_vs_perplan_speedup    {packed['speedup']:.2f}x (>= 3.00x)
 print(f"    student_vs_teacher_speedup       {student['speedup']:.2f}x")
 print(f"    tiered_qerror_budget             {qerr['ratio']:.4f} (<= {qerr['budget']:.2f})")
 print(f"    feedback_overhead_pct            {feedback['overhead_pct']:+.2f}% (<= +2.00%)")
+print(f"    obs_overhead_pct                 {obs['overhead_pct']:+.2f}% (<= +2.00%)")
 print(f"    enumerate_per_candidate_vs_build {enum['ratio']:.2f}x (<= 5.00x)")
 EOF
 
