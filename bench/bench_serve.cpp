@@ -1,5 +1,5 @@
 // Closed-loop load generator for the serving layer: N client threads ×
-// T tenants drive EstimatorService (work-conserving coalescing scheduler over
+// T tenants drive EstimatorService (caller-led coalescing scheduler over
 // per-tenant snapshots) while an optional swapper hot-swaps checkpoints
 // mid-run.
 // Reports client-observed latency percentiles, throughput, the serve.*

@@ -932,13 +932,24 @@ double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
   const uint64_t t0_us = LatencyNowUs();
   const featurize::FeaturizerConfig fc = FeatConfig();
   const uint64_t version = model_.weights_version();
-  const uint64_t fp = featurizer_.Fingerprint(plan, fc);
+  // The cache is shared with the batch path, which may store student or
+  // packed f32 answers under the same (version, fingerprint) key. This
+  // teacher-only f64 path reads and writes it only when every entry the
+  // batch path could store is an f64 teacher answer too, so neither path
+  // ever returns the other's kind of answer.
+  const bool use_cache =
+      nn::kernel::ActivePrecision() == nn::kernel::Precision::kF64 &&
+      (tier_mode_ == TierMode::kTeacherOnly || model_.student() == nullptr);
+  uint64_t fp = 0;
   double ms = 0.0;
-  if (prediction_cache_->Lookup(version, fp, &ms)) {
-    PredictionsCounter()->Add(1);
-    PredictLatencyUsHistogram()->Observe(
-        static_cast<double>(LatencyNowUs() - t0_us));
-    return ms;
+  if (use_cache) {
+    fp = featurizer_.Fingerprint(plan, fc);
+    if (prediction_cache_->Lookup(version, fp, &ms)) {
+      PredictionsCounter()->Add(1);
+      PredictLatencyUsHistogram()->Observe(
+          static_cast<double>(LatencyNowUs() - t0_us));
+      return ms;
+    }
   }
   featurize::PlanFeatures f;
   {
@@ -954,7 +965,7 @@ double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
     DACE_TRACE_SPAN("predict.inverse_transform");
     ms = featurizer_.InverseTransformTime(scaled);
   }
-  prediction_cache_->Insert(version, fp, ms);
+  if (use_cache) prediction_cache_->Insert(version, fp, ms);
   PredictionsCounter()->Add(1);
   PredictLatencyUsHistogram()->Observe(
       static_cast<double>(LatencyNowUs() - t0_us));

@@ -395,8 +395,11 @@ class DaceEstimator : public CostEstimator {
 
   // Prediction-cache control: the serving paths (PredictMs/PredictBatchMs)
   // memoize final predictions keyed by (weights version, plan fingerprint).
-  // Capacity 0 disables caching entirely; resizing resets entries and
-  // counters. Default capacity is kDefaultPredictionCacheCapacity.
+  // PredictMs reads and writes the cache only at kF64 with no student tier
+  // in play (kTeacherOnly, or no student), where every entry either path
+  // stores is the same f64 teacher answer. Capacity 0 disables caching
+  // entirely; resizing resets entries and counters. Default capacity is
+  // kDefaultPredictionCacheCapacity.
   void set_prediction_cache_capacity(size_t capacity) {
     prediction_cache_->Reset(capacity);
   }

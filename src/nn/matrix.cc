@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
 #include "nn/kernels.h"
 
@@ -229,35 +227,6 @@ void MaskedRowSoftmax(const Matrix& in, const Matrix& mask, Matrix* out) {
   }
 }
 
-void WriteMatrix(const Matrix& m, std::ostream* os) {
-  const uint64_t rows = m.rows(), cols = m.cols();
-  os->write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  os->write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  os->write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(sizeof(double) * m.size()));
-}
-
-Status ReadMatrix(std::istream* is, Matrix* m) {
-  uint64_t rows = 0, cols = 0;
-  is->read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  is->read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!*is) return Status::DataLoss("truncated matrix header");
-  // Bound the element count jointly, not per dimension: two individually
-  // plausible dimensions from a corrupt file can still multiply into an
-  // allocation of ~2^48 doubles.
-  constexpr uint64_t kMaxElements = 1ull << 24;
-  if (rows > kMaxElements || cols > kMaxElements ||
-      (rows != 0 && cols > kMaxElements / rows)) {
-    return Status::DataLoss("implausible matrix shape");
-  }
-  Matrix result(rows, cols);
-  is->read(reinterpret_cast<char*>(result.data()),
-           static_cast<std::streamsize>(sizeof(double) * result.size()));
-  if (!*is) return Status::DataLoss("truncated matrix payload");
-  *m = std::move(result);
-  return Status::OK();
-}
-
 void WriteMatrix(const Matrix& m, ByteWriter* w) {
   w->WriteU64(m.rows());
   w->WriteU64(m.cols());
@@ -268,9 +237,11 @@ Status ReadMatrix(ByteReader* r, Matrix* m) {
   uint64_t rows = 0, cols = 0;
   DACE_RETURN_IF_ERROR(r->ReadU64(&rows));
   DACE_RETURN_IF_ERROR(r->ReadU64(&cols));
-  // Same joint element bound as the stream reader, plus a check against the
-  // reader's own window: a corrupt shape can neither trigger a huge
-  // allocation nor read past the framed section it lives in.
+  // Bound the element count jointly, not per dimension (two individually
+  // plausible dimensions from a corrupt file can still multiply into ~2^48
+  // doubles), and against the reader's own window: a corrupt shape can
+  // neither trigger a huge allocation nor read past the framed section it
+  // lives in.
   constexpr uint64_t kMaxElements = 1ull << 24;
   if (rows > kMaxElements || cols > kMaxElements ||
       (rows != 0 && cols > kMaxElements / rows)) {

@@ -2,7 +2,6 @@
 #define DACE_NN_MATRIX_H_
 
 #include <cstddef>
-#include <iosfwd>
 #include <new>
 #include <vector>
 
@@ -186,13 +185,9 @@ void ReluBackwardInto(const Matrix& z, const Matrix& dy, Matrix* dx);
 inline constexpr double kMaskNegInf = -1e30;
 void MaskedRowSoftmax(const Matrix& in, const Matrix& mask, Matrix* out);
 
-// Binary serialization (shape + raw doubles).
-void WriteMatrix(const Matrix& m, std::ostream* os);
-Status ReadMatrix(std::istream* is, Matrix* m);
-
-// Bounds-checked variants over the checkpoint byte substrate: same wire
-// layout (u64 rows, u64 cols, row-major doubles), but the reader rejects an
-// implausible shape BEFORE allocating and can never over-read its window.
+// Binary serialization over the checkpoint byte substrate (u64 rows, u64
+// cols, row-major doubles). The reader rejects an implausible shape BEFORE
+// allocating and can never over-read its window.
 void WriteMatrix(const Matrix& m, ByteWriter* w);
 Status ReadMatrix(ByteReader* r, Matrix* m);
 

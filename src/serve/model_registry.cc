@@ -254,12 +254,4 @@ uint64_t ModelRegistry::Generation(std::string_view tenant) const {
   return it == entries_.end() ? 0 : it->second.generation;
 }
 
-std::vector<std::string> ModelRegistry::Tenants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [tenant, entry] : entries_) out.push_back(tenant);
-  return out;
-}
-
 }  // namespace dace::serve

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/dace_model.h"
 #include "util/status.h"
@@ -39,7 +38,7 @@ class ModelRegistry {
   // Publishes `estimator` as the tenant's current snapshot (upsert: an
   // existing tenant is swapped, which is the pre-built-model analogue of
   // SwapFromFile). The estimator must be trained — an unfitted featurizer
-  // is rejected here rather than crashing a drainer thread later.
+  // is rejected here rather than crashing a serving batch later.
   Status Register(std::string_view tenant,
                   std::shared_ptr<core::DaceEstimator> estimator);
 
@@ -56,9 +55,6 @@ class ModelRegistry {
   // Times the tenant's snapshot has been (re)published: 1 after Register,
   // +1 per successful swap or promoted canary. 0 for unknown tenants.
   uint64_t Generation(std::string_view tenant) const;
-
-  // Registered tenant keys, sorted.
-  std::vector<std::string> Tenants() const;
 
   // ----------------------------------------------------- canary stage ----
   //

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -76,51 +75,44 @@ ServeMetrics* Metrics() {
 
 // One in-flight request. Lives on the submitting caller's stack: the caller
 // never returns from Submit until `done` (or until it removed itself from
-// the pending queue under the lock), so the drainer's pointer is always
-// valid. `claimed`/`done` and the stage stamps are only written under the
-// queue mutex.
+// the pending queue under the lock), so a batch leader's pointer to it is
+// always valid. `claimed`/`done` and the stage stamps are only written under
+// the queue mutex.
 struct EstimatorService::Request {
   const plan::QueryPlan* plan = nullptr;
   Clock::time_point deadline{};
-  Clock::time_point claimed_at{};   // taken into a drainer batch
-  Clock::time_point finished_at{};  // result written by the drainer
+  Clock::time_point claimed_at{};   // taken into a batch
+  Clock::time_point finished_at{};  // result written by the batch leader
   bool has_deadline = false;
-  bool claimed = false;  // owned by a drainer batch; a result is coming
+  bool claimed = false;  // owned by a batch; a result is coming
   bool done = false;
   double ms = 0.0;
   Status status;
 };
 
-// Bounded admission queue + work-conserving drainer for one tenant. Whenever
-// the drainer thread is free it claims everything pending (up to max_batch)
-// and prices it with a single PredictBatchMsInto call on the tenant's
+// Bounded admission queue + caller-led batching for one tenant. There is no
+// background thread: a caller that finds no batch in flight becomes the
+// leader, claims everything pending (up to max_batch, FIFO) and prices it on
+// its own thread with a single PredictBatchMsInto call on the tenant's
 // current snapshot; that call fans the batch out across the process thread
-// pool, and whatever arrives meanwhile forms the next batch. Serializing
-// batches per tenant is also what makes PredictBatchMsInto safe here — the
-// estimator's batch scratch is per-estimator, and exactly one drainer
-// touches a tenant's snapshot at a time (snapshots retired by a hot swap
-// finish their last batch on the old object, which the new drainer batches
-// never touch).
+// pool, and whatever arrives meanwhile waits and forms the next batch, led
+// by one of its own callers. At most one batch per tenant is in flight
+// (busy_), which is also what makes PredictBatchMsInto safe here — the
+// estimator's batch scratch is per-estimator, and exactly one leader touches
+// a tenant's snapshot at a time (snapshots retired by a hot swap finish
+// their last batch on the old object, which later batches never touch).
 class EstimatorService::TenantQueue {
  public:
   TenantQueue(std::string tenant, ModelRegistry* registry,
               const ServiceConfig& config)
-      : tenant_(std::move(tenant)), registry_(registry), config_(config) {
-    drainer_ = std::thread([this] { DrainLoop(); });
-  }
-
-  ~TenantQueue() {
-    Shutdown();
-    drainer_.join();
-  }
+      : tenant_(std::move(tenant)), registry_(registry), config_(config) {}
 
   void Shutdown() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
     }
-    drain_cv_.notify_all();
-    client_cv_.notify_all();
+    cv_.notify_all();
   }
 
   StatusOr<double> Submit(const plan::QueryPlan& plan, int64_t deadline_us) {
@@ -156,7 +148,7 @@ class EstimatorService::TenantQueue {
       std::lock_guard<std::mutex> lock(mu_);
       paused_ = paused;
     }
-    drain_cv_.notify_all();
+    cv_.notify_all();
   }
 
   size_t Pending() {
@@ -178,21 +170,23 @@ class EstimatorService::TenantQueue {
     }
     pending_.push_back(req);
     Metrics()->queue_depth_hw->SetMax(static_cast<double>(pending_.size()));
-    drain_cv_.notify_one();
 
     while (!req->done) {
-      if (req->has_deadline && !req->claimed) {
-        client_cv_.wait_until(lock, req->deadline);
+      // Shutdown overrides a pause: admitted requests still complete.
+      if (!req->claimed && !busy_ && (stop_ || !paused_)) {
+        LeadBatch(lock);
+      } else if (req->has_deadline && !req->claimed) {
+        cv_.wait_until(lock, req->deadline);
         if (!req->done && !req->claimed && Clock::now() >= req->deadline) {
-          // Still queued: abandon the slot. The drainer can no longer reach
-          // this request, so returning (and unwinding the stack slot) is
-          // safe.
+          // Still queued: abandon the slot. No leader can reach this
+          // request any more, so returning (and unwinding the stack slot)
+          // is safe.
           pending_.erase(std::find(pending_.begin(), pending_.end(), req));
           return Status::DeadlineExceeded(
               "deadline expired before batch dispatch");
         }
       } else {
-        client_cv_.wait(lock);
+        cv_.wait(lock);
       }
     }
     if (!req->status.ok()) return req->status;
@@ -202,73 +196,69 @@ class EstimatorService::TenantQueue {
     return Status::OK();
   }
 
-  void DrainLoop() {
-    std::vector<Request*> batch;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        // Shutdown overrides a pause: admitted requests still complete.
-        drain_cv_.wait(lock, [this] {
-          return stop_ || (!paused_ && !pending_.empty());
-        });
-        if (pending_.empty()) return;  // shut down with nothing left to drain
-        const size_t n = std::min(pending_.size(), config_.max_batch);
-        const auto split = pending_.begin() + static_cast<ptrdiff_t>(n);
-        const Clock::time_point now = Clock::now();
-        batch.clear();
-        for (auto it = pending_.begin(); it != split; ++it) {
-          Request* r = *it;
-          r->claimed = true;
-          r->claimed_at = now;
-          if (r->has_deadline && now >= r->deadline) {
-            // Expired while queued: fail it now instead of spending forward-
-            // pass work on a result the caller already gave up on.
-            r->status =
-                Status::DeadlineExceeded("deadline expired while queued");
-            r->done = true;
-          } else {
-            batch.push_back(r);
-          }
-        }
-        pending_.erase(pending_.begin(), split);
-        if (batch.size() < n) client_cv_.notify_all();  // some expired
+  // Claims the pending front (up to max_batch) under `lock`, prices it with
+  // the lock released, and publishes the results. The caller's own request
+  // is usually in the batch, but need not be: a leader whose request sits
+  // beyond max_batch leads again once this batch is done. noexcept: an
+  // exception escaping mid-batch would leave busy_ set and every later
+  // caller of the tenant waiting forever, so it terminates instead.
+  void LeadBatch(std::unique_lock<std::mutex>& lock) noexcept {
+    busy_ = true;
+    const size_t n = std::min(pending_.size(), config_.max_batch);
+    const auto split = pending_.begin() + static_cast<ptrdiff_t>(n);
+    const Clock::time_point now = Clock::now();
+    batch_.clear();
+    for (auto it = pending_.begin(); it != split; ++it) {
+      Request* r = *it;
+      r->claimed = true;
+      r->claimed_at = now;
+      if (r->has_deadline && now >= r->deadline) {
+        // Expired while queued: fail it now instead of spending forward-pass
+        // work on a result the caller already gave up on.
+        r->status = Status::DeadlineExceeded("deadline expired while queued");
+        r->done = true;
+      } else {
+        batch_.push_back(r);
       }
-      ExecuteBatch(batch);
     }
-  }
+    pending_.erase(pending_.begin(), split);
+    if (batch_.size() < n) cv_.notify_all();  // some expired
+    lock.unlock();
 
-  void ExecuteBatch(const std::vector<Request*>& batch) {
-    if (batch.empty()) return;
     ServeMetrics* m = Metrics();
     Status failure;
-    auto snapshot_or = registry_->Get(tenant_);
-    if (!snapshot_or.ok()) {
-      failure = snapshot_or.status();
-    } else {
-      const ModelRegistry::Snapshot snapshot = *std::move(snapshot_or);
-      plans_.clear();
-      for (const Request* r : batch) plans_.push_back(r->plan);
-      DACE_TRACE_SPAN("serve.batch");
-      const Clock::time_point t0 = Clock::now();
-      snapshot->PredictBatchMsInto(plans_, &results_);
-      m->batches->Add(1);
-      m->batch_size->Observe(static_cast<double>(batch.size()));
-      m->batch_us->Observe(Us(Clock::now() - t0));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const Clock::time_point finished = Clock::now();
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (failure.ok()) {
-          batch[i]->ms = results_[i];
-        } else {
-          batch[i]->status = failure;
-        }
-        batch[i]->finished_at = finished;
-        batch[i]->done = true;
+    if (!batch_.empty()) {
+      auto snapshot_or = registry_->Get(tenant_);
+      if (!snapshot_or.ok()) {
+        failure = snapshot_or.status();
+      } else {
+        const ModelRegistry::Snapshot snapshot = *std::move(snapshot_or);
+        plans_.clear();
+        for (const Request* r : batch_) plans_.push_back(r->plan);
+        DACE_TRACE_SPAN("serve.batch");
+        const Clock::time_point t0 = Clock::now();
+        snapshot->PredictBatchMsInto(plans_, &results_);
+        m->batches->Add(1);
+        m->batch_size->Observe(static_cast<double>(batch_.size()));
+        m->batch_us->Observe(Us(Clock::now() - t0));
       }
     }
-    client_cv_.notify_all();
+
+    lock.lock();
+    const Clock::time_point finished = Clock::now();
+    for (size_t i = 0; i < batch_.size(); ++i) {
+      if (failure.ok()) {
+        batch_[i]->ms = results_[i];
+      } else {
+        batch_[i]->status = failure;
+      }
+      batch_[i]->finished_at = finished;
+      batch_[i]->done = true;
+    }
+    busy_ = false;
+    // Wakes the batch's callers and hands the lead for the next batch to a
+    // caller still queued.
+    cv_.notify_all();
   }
 
   const std::string tenant_;
@@ -276,15 +266,15 @@ class EstimatorService::TenantQueue {
   const ServiceConfig config_;
 
   std::mutex mu_;
-  std::condition_variable drain_cv_;   // drainer waits for work
-  std::condition_variable client_cv_;  // submitters wait for their result
+  std::condition_variable cv_;  // callers wait for a result or the lead
   std::deque<Request*> pending_;
   bool stop_ = false;
-  bool paused_ = false;  // test seam, see EstimatorService::SetDrainerPaused
-  // Drainer-only batch buffers, reused across batches.
+  bool paused_ = false;  // test seam, see EstimatorService::SetBatchingPaused
+  bool busy_ = false;    // a leader is pricing a batch
+  // The leader's batch buffers, reused across batches (guarded by busy_).
+  std::vector<Request*> batch_;
   std::vector<const plan::QueryPlan*> plans_;
   std::vector<double> results_;
-  std::thread drainer_;
 };
 
 EstimatorService::EstimatorService(ModelRegistry* registry,
@@ -296,10 +286,7 @@ EstimatorService::EstimatorService(ModelRegistry* registry,
   Metrics();  // register the serve.* families before the first request
 }
 
-EstimatorService::~EstimatorService() {
-  Shutdown();
-  // TenantQueue destructors join the drainers.
-}
+EstimatorService::~EstimatorService() { Shutdown(); }
 
 void EstimatorService::Shutdown() {
   std::vector<TenantQueue*> queues;
@@ -318,7 +305,7 @@ EstimatorService::TenantQueue* EstimatorService::GetQueue(
   auto it = queues_.find(tenant);
   if (it != queues_.end()) return it->second.get();
   // Never served this tenant and no longer admitting: refuse without
-  // spawning a drainer that would outlive the shutdown.
+  // creating a queue.
   if (shutdown_) return nullptr;
   return queues_
       .emplace(std::string(tenant),
@@ -342,7 +329,8 @@ StatusOr<double> EstimatorService::Estimate(std::string_view tenant,
   return queue->Submit(plan, deadline_us);
 }
 
-void EstimatorService::SetDrainerPaused(std::string_view tenant, bool paused) {
+void EstimatorService::SetBatchingPaused(std::string_view tenant,
+                                         bool paused) {
   TenantQueue* queue = GetQueue(tenant);
   DACE_CHECK(queue != nullptr) << "service is shut down";
   queue->SetPaused(paused);

@@ -16,11 +16,12 @@
 
 namespace dace::serve {
 
-// Tunables of the coalescing scheduler. Batching is work-conserving: a
-// tenant's drainer claims whatever is pending (up to max_batch) as soon as
-// it is free, so an idle service prices a lone request immediately and a
-// loaded one coalesces the requests that arrived while the previous batch
-// was in flight. No request ever waits on a clock.
+// Tunables of the coalescing scheduler. Batching is work-conserving and
+// caller-led: a caller that finds no batch in flight for its tenant claims
+// whatever is pending (up to max_batch) and prices it on its own thread, so
+// an idle service prices a lone request immediately and a loaded one
+// coalesces the requests that arrived while the previous batch was in
+// flight. No request ever waits on a clock.
 struct ServiceConfig {
   // Batch-size cap: one PredictBatchMs call prices at most this many plans.
   size_t max_batch = 64;
@@ -44,12 +45,15 @@ struct TrackedEstimate {
 // Thread-safe multi-tenant front end over the estimator stack — the piece
 // that turns "every caller owns a DaceEstimator" into a service. Concurrent
 // single-plan Estimate calls enqueue into a bounded per-tenant admission
-// queue; a per-tenant drainer claims everything pending (up to max_batch)
-// whenever it is free and prices it with one PredictBatchMs call (which
-// fans out across the process thread pool). Requests that arrive while a
-// batch is in flight coalesce into the next one, so DACE's batched-inference
-// property pays off across callers under load without delaying an idle
-// caller.
+// queue. The service starts no thread of its own: a caller that finds no
+// batch in flight for its tenant becomes the batch leader, claims
+// everything pending (up to max_batch, oldest first) and prices it on its
+// own thread with one PredictBatchMs call (which fans out across the
+// process thread pool). Requests that arrive while a batch is in flight
+// wait and coalesce into the next one, led by one of their own callers, so
+// DACE's batched-inference property pays off across callers under load
+// while an idle caller pays no thread handoff at all. At most one batch per
+// tenant is in flight.
 //
 // Results are bit-identical to direct PredictMs / PredictBatchMs calls on
 // the snapshot: coalescing only changes who computes, never what is
@@ -72,9 +76,10 @@ struct TrackedEstimate {
 // gauge, and a DACE_TRACE_SPAN("serve.batch") per dispatched batch. Each
 // OK request's latency is also split into three stages that sum to its
 // serve.request.latency_us exactly: serve.stage.queue_wait.latency_us
-// (admission to claim by the drainer), serve.stage.batch.latency_us (claim
-// to result written) and serve.stage.wake.latency_us (result written to the
-// caller returning).
+// (admission to claim by a batch leader), serve.stage.batch.latency_us
+// (claim to result written) and serve.stage.wake.latency_us (result written
+// to the caller returning). For a leader's own request queue_wait and wake
+// are close to zero.
 //
 // Hot swap: each batch resolves the tenant's snapshot at dispatch time, so
 // a ModelRegistry::SwapFromFile takes effect on the next batch; batches
@@ -84,15 +89,16 @@ class EstimatorService {
  public:
   explicit EstimatorService(ModelRegistry* registry,
                             const ServiceConfig& config = ServiceConfig());
-  ~EstimatorService();  // Shutdown() and joins every drainer.
+  ~EstimatorService();  // Shutdown().
 
   EstimatorService(const EstimatorService&) = delete;
   EstimatorService& operator=(const EstimatorService&) = delete;
 
   // Predicted runtime of `plan` in milliseconds, via the tenant's coalesced
   // batch path. Blocks until the request resolves (at most the batch in
-  // flight plus its own batch, or the deadline). deadline_us is a
-  // per-request budget relative to the call; <= 0 means no deadline.
+  // flight plus its own batch, which this caller may price itself, or the
+  // deadline). deadline_us is a per-request budget relative to the call;
+  // <= 0 means no deadline.
   StatusOr<double> Estimate(std::string_view tenant,
                             const plan::QueryPlan& plan,
                             int64_t deadline_us = 0);
@@ -157,10 +163,11 @@ class EstimatorService {
   // shut down and the tenant was never served.
   TenantQueue* GetQueue(std::string_view tenant);
 
-  // Test seam for EstimatorServiceTestPeer: while a tenant's drainer is
-  // paused it claims nothing, so admitted requests stay queued (Shutdown
-  // overrides the pause). PendingRequests is the tenant's queue depth.
-  void SetDrainerPaused(std::string_view tenant, bool paused);
+  // Test seam for EstimatorServiceTestPeer: while a tenant's batching is
+  // paused no caller claims a batch, so admitted requests stay queued
+  // (Shutdown overrides the pause). PendingRequests is the tenant's queue
+  // depth.
+  void SetBatchingPaused(std::string_view tenant, bool paused);
   size_t PendingRequests(std::string_view tenant);
 
   // The tenant's feedback path, created on first use (decoupled from

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <string>
 
 #include "util/rng.h"
 
@@ -184,53 +184,70 @@ TEST(SoftmaxTest, LargestLogitDominates) {
   EXPECT_GT(out(0, 1), 0.99);
 }
 
+// The checkpoint reader over ByteReader: every malformed input fails with
+// a typed Status before any allocation or over-read.
 TEST(SerializationTest, RoundTrip) {
   const Matrix m = RandomMatrix(7, 3, 13);
-  std::stringstream ss;
-  WriteMatrix(m, &ss);
+  ByteWriter w;
+  WriteMatrix(m, &w);
+  ByteReader r(w.buffer().data(), w.size());
   Matrix restored;
-  ASSERT_TRUE(ReadMatrix(&ss, &restored).ok());
+  ASSERT_TRUE(ReadMatrix(&r, &restored).ok());
   ExpectMatrixNear(restored, m, 0.0);
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(SerializationTest, TruncatedStreamFails) {
   const Matrix m = RandomMatrix(4, 4, 14);
-  std::stringstream ss;
-  WriteMatrix(m, &ss);
-  std::string data = ss.str();
-  data.resize(data.size() / 2);
-  std::stringstream truncated(data);
-  Matrix restored;
-  EXPECT_FALSE(ReadMatrix(&truncated, &restored).ok());
+  ByteWriter w;
+  WriteMatrix(m, &w);
+  // Cut inside the payload and inside the header: both must fail.
+  for (const size_t keep : {w.size() / 2, size_t{12}}) {
+    ByteReader r(w.buffer().data(), keep);
+    Matrix restored;
+    const Status status = ReadMatrix(&r, &restored);
+    ASSERT_FALSE(status.ok()) << "keep=" << keep;
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(restored.size(), 0u);
+  }
 }
 
 TEST(SerializationTest, EmptyStreamFails) {
-  std::stringstream ss;
+  ByteReader r;
   Matrix restored;
-  EXPECT_FALSE(ReadMatrix(&ss, &restored).ok());
+  EXPECT_FALSE(ReadMatrix(&r, &restored).ok());
+}
+
+// Header-only input: the shape words and no payload.
+ByteWriter ShapeHeader(uint64_t rows, uint64_t cols) {
+  ByteWriter w;
+  w.WriteU64(rows);
+  w.WriteU64(cols);
+  return w;
 }
 
 TEST(SerializationTest, RejectsImplausibleJointShape) {
   // Each dimension alone passes the per-dimension bound, but together they
   // describe a ~2^46-element allocation; the joint bound must catch it
   // before any allocation happens.
-  const uint64_t rows = 1ull << 23, cols = 1ull << 23;
-  std::stringstream ss;
-  ss.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  ss.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  const ByteWriter w = ShapeHeader(1ull << 23, 1ull << 23);
+  ByteReader r(w.buffer().data(), w.size());
   Matrix restored;
-  const Status status = ReadMatrix(&ss, &restored);
+  const Status status = ReadMatrix(&r, &restored);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("implausible"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(SerializationTest, RejectsOversizedSingleDimension) {
-  const uint64_t rows = 1ull << 25, cols = 1;
-  std::stringstream ss;
-  ss.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  ss.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  const ByteWriter w = ShapeHeader(1ull << 25, 1);
+  ByteReader r(w.buffer().data(), w.size());
   Matrix restored;
-  EXPECT_FALSE(ReadMatrix(&ss, &restored).ok());
+  const Status status = ReadMatrix(&r, &restored);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("implausible"), std::string::npos)
+      << status.ToString();
 }
 
 // The blocked kernels must stay bit-identical to the naive accumulation

@@ -91,8 +91,8 @@ class ServeDifferentialTest : public ::testing::Test {
       EXPECT_EQ(direct[i], direct_batch[i]) << "plan " << i;
     }
 
-    // The service (and its drainers) is created inside the ISA phase so the
-    // coalesced batches run on the ISA under test.
+    // The service is created inside the ISA phase so the coalesced batches
+    // run on the ISA under test.
     ServiceConfig config;
     config.max_batch = 8;
 
@@ -196,7 +196,7 @@ TEST_F(ServeDifferentialTest, Avx2Kernels) {
 }
 
 // The packed f32 fan-out behind the service: at kF32 coalesced micro-batches
-// with two or more misses run the packed forward on the drainer. Every
+// with two or more misses run the packed forward on the batch leader. Every
 // answer — sequential, coalesced-concurrent, cache fill and cache hit — must
 // stay within 1.001 q-error of the f64 PredictMs reference.
 TEST_F(ServeDifferentialTest, PackedF32ScalarKernels) {

@@ -8,7 +8,7 @@
 // The soak uses a deliberately tiny admission queue so backpressure is
 // actually exercised (asserted via serve.admission.rejected > 0). The
 // deterministic scheduler tests hold requests queued by pausing a tenant's
-// drainer through EstimatorServiceTestPeer, never by waiting on a clock.
+// batching through EstimatorServiceTestPeer, never by waiting on a clock.
 
 #include <atomic>
 #include <chrono>
@@ -25,23 +25,24 @@
 #include "engine/machine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/service.h"
 
 namespace dace::serve {
 
-// Drives EstimatorService's drainer-pause seam: while paused, a tenant's
-// drainer claims nothing, so admitted requests stay queued for as long as a
-// test needs them to.
+// Drives EstimatorService's batching-pause seam: while paused, no caller of
+// the tenant claims a batch, so admitted requests stay queued for as long as
+// a test needs them to.
 class EstimatorServiceTestPeer {
  public:
-  static void PauseDrainer(EstimatorService* service,
-                           std::string_view tenant) {
-    service->SetDrainerPaused(tenant, true);
-  }
-  static void ResumeDrainer(EstimatorService* service,
+  static void PauseBatching(EstimatorService* service,
                             std::string_view tenant) {
-    service->SetDrainerPaused(tenant, false);
+    service->SetBatchingPaused(tenant, true);
+  }
+  static void ResumeBatching(EstimatorService* service,
+                             std::string_view tenant) {
+    service->SetBatchingPaused(tenant, false);
   }
   static size_t Pending(EstimatorService* service, std::string_view tenant) {
     return service->PendingRequests(tenant);
@@ -135,6 +136,13 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
   std::atomic<int> bad_outcomes{0};
   std::atomic<bool> stop_swapper{false};
 
+  // Backpressure must happen on every schedule. A free caller prices its
+  // own batch at once, so when the clients barely overlap (e.g. a CPU-starved
+  // host running them nearly one at a time) no queue ever fills. tenant-0's
+  // batching therefore starts paused: its two queue slots fill, its next
+  // caller is refused, and it resumes at the first refusal.
+  EstimatorServiceTestPeer::PauseBatching(&service, TenantName(0));
+
   std::thread swapper([&] {
     const std::string* paths[2] = {&tuned_path_, &base_path_};
     for (int i = 0; !stop_swapper.load(std::memory_order_relaxed); ++i) {
@@ -172,6 +180,10 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
       }
     });
   }
+  while (unavailable.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EstimatorServiceTestPeer::ResumeBatching(&service, TenantName(0));
   for (std::thread& c : clients) c.join();
   stop_swapper.store(true, std::memory_order_relaxed);
   swapper.join();
@@ -190,22 +202,23 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
   EXPECT_EQ((after.ok - before.ok) + (after.rejected - before.rejected) +
                 (after.deadline_missed - before.deadline_missed),
             after.issued - before.issued);
-  // The tiny queue must have produced real backpressure, and admitted
-  // traffic must still be getting through. (No stronger ratio is asserted:
+  // The tiny queue must have produced real backpressure (at least the
+  // refusal the paused start forces), and admitted traffic must still be
+  // getting through. (No stronger ratio is asserted:
   // under TSan a batch forward is slow, and rejected closed-loop clients
   // retry immediately, so the OK:rejected mix is schedule-dependent.)
   EXPECT_GT(after.rejected - before.rejected, 0u);
   EXPECT_GT(ok.load(), 0u);
 }
 
-// Deterministic backpressure: capacity 1 and a paused drainer means the
+// Deterministic backpressure: capacity 1 and paused batching means the
 // first admitted request holds the only queue slot, so every other client
 // must be refused with kUnavailable; after the resume the holder succeeds.
 TEST_F(ServeStressTest, BackpressureIsDeterministicWithFullQueue) {
   ServiceConfig config;
   config.queue_capacity = 1;
   EstimatorService service(&registry_, config);
-  EstimatorServiceTestPeer::PauseDrainer(&service, "tenant-0");
+  EstimatorServiceTestPeer::PauseBatching(&service, "tenant-0");
 
   constexpr int kClients = 4;
   std::atomic<uint64_t> ok{0}, unavailable{0};
@@ -227,20 +240,20 @@ TEST_F(ServeStressTest, BackpressureIsDeterministicWithFullQueue) {
   }
   EXPECT_EQ(ok.load(), 0u);  // the slot holder is still parked
   EXPECT_EQ(EstimatorServiceTestPeer::Pending(&service, "tenant-0"), 1u);
-  EstimatorServiceTestPeer::ResumeDrainer(&service, "tenant-0");
+  EstimatorServiceTestPeer::ResumeBatching(&service, "tenant-0");
   for (std::thread& c : clients) c.join();
 
   EXPECT_EQ(ok.load(), 1u);
   EXPECT_EQ(unavailable.load(), static_cast<uint64_t>(kClients - 1));
 }
 
-// Deterministic deadline miss: the drainer is paused, so the request can
+// Deterministic deadline miss: batching is paused, so the request can
 // only sit in the queue until its deadline expires there.
 TEST_F(ServeStressTest, DeadlineExpiresBeforeDispatch) {
   ServiceConfig config;
   config.queue_capacity = 8;
   EstimatorService service(&registry_, config);
-  EstimatorServiceTestPeer::PauseDrainer(&service, "tenant-0");
+  EstimatorServiceTestPeer::PauseBatching(&service, "tenant-0");
 
   const CounterSnapshot before = CounterSnapshot::Take();
   const auto result = service.Estimate("tenant-0", plans_[0], /*deadline_us=*/2000);
@@ -253,9 +266,9 @@ TEST_F(ServeStressTest, DeadlineExpiresBeforeDispatch) {
   EXPECT_EQ(EstimatorServiceTestPeer::Pending(&service, "tenant-0"), 0u);
 }
 
-// Work-conserving coalescing: requests that arrive while the drainer is
-// busy (here: paused, standing in for an in-flight batch) dispatch together
-// as one batch as soon as it is free, and max_batch caps each claim.
+// Work-conserving coalescing: requests that arrive while batching is busy
+// (here: paused, standing in for an in-flight batch) dispatch together as
+// one batch as soon as it is free, and max_batch caps each claim.
 TEST_F(ServeStressTest, CoalescesBehindInFlightBatch) {
   for (const size_t max_batch : {size_t{64}, size_t{4}}) {
     SCOPED_TRACE("max_batch=" + std::to_string(max_batch));
@@ -265,7 +278,7 @@ TEST_F(ServeStressTest, CoalescesBehindInFlightBatch) {
     // Registered (with its bounds) by the service constructor.
     obs::Histogram* batch_size =
         obs::MetricsRegistry::Default()->GetHistogram("serve.batch.size", {});
-    EstimatorServiceTestPeer::PauseDrainer(&service, "tenant-0");
+    EstimatorServiceTestPeer::PauseBatching(&service, "tenant-0");
 
     constexpr size_t kRequests = 6;
     const obs::Histogram::Snapshot before = batch_size->TakeSnapshot();
@@ -277,7 +290,7 @@ TEST_F(ServeStressTest, CoalescesBehindInFlightBatch) {
       });
     }
     EstimatorServiceTestPeer::AwaitPending(&service, "tenant-0", kRequests);
-    EstimatorServiceTestPeer::ResumeDrainer(&service, "tenant-0");
+    EstimatorServiceTestPeer::ResumeBatching(&service, "tenant-0");
     for (std::thread& c : clients) c.join();
     const obs::Histogram::Snapshot after = batch_size->TakeSnapshot();
 
@@ -287,6 +300,75 @@ TEST_F(ServeStressTest, CoalescesBehindInFlightBatch) {
     EXPECT_EQ(after.count - before.count,
               (kRequests + max_batch - 1) / max_batch);
   }
+}
+
+// Shutdown overrides a pause: requests admitted before it still complete,
+// each priced by one of the waiting callers, and later ones are refused.
+TEST_F(ServeStressTest, ShutdownWhilePausedDrainsAdmittedRequests) {
+  EstimatorService service(&registry_);
+  EstimatorServiceTestPeer::PauseBatching(&service, "tenant-0");
+
+  constexpr size_t kRequests = 4;
+  std::atomic<size_t> ok{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kRequests; ++c) {
+    clients.emplace_back([&, c] {
+      const auto result = service.Estimate("tenant-0", plans_[c]);
+      if (result.ok()) {
+        ok.fetch_add(1);
+      } else {
+        ADD_FAILURE() << result.status().ToString();
+      }
+    });
+  }
+  EstimatorServiceTestPeer::AwaitPending(&service, "tenant-0", kRequests);
+  service.Shutdown();
+  for (std::thread& c : clients) c.join();
+
+  EXPECT_EQ(ok.load(), kRequests);
+  EXPECT_EQ(EstimatorServiceTestPeer::Pending(&service, "tenant-0"), 0u);
+  const auto refused = service.Estimate("tenant-0", plans_[0]);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+}
+
+// Caller-led batching: a lone request is priced on the thread that asked
+// for it, so its serve.batch span nests directly under the caller's span.
+TEST_F(ServeStressTest, BatchRunsOnTheCallingThread) {
+#ifdef DACE_OBS_DISABLED
+  GTEST_SKIP() << "trace spans are compiled out";
+#else
+  obs::TraceCollector* collector = obs::TraceCollector::Default();
+  const bool was_enabled = obs::TraceCollector::enabled();
+  obs::TraceCollector::SetEnabled(true);
+  collector->Clear();
+  EstimatorService service(&registry_);
+  bool ok = false;
+  {
+    DACE_TRACE_SPAN("test.caller");
+    ok = service.Estimate("tenant-0", plans_[0]).ok();
+  }
+  const std::vector<obs::TraceEvent> events = collector->SnapshotEvents();
+  collector->Clear();
+  obs::TraceCollector::SetEnabled(was_enabled);
+
+  EXPECT_TRUE(ok);
+  const obs::TraceEvent* caller = nullptr;
+  std::vector<const obs::TraceEvent*> batches;
+  for (const obs::TraceEvent& e : events) {
+    const std::string_view name(e.name);
+    if (name == "test.caller") caller = &e;
+    if (name == "serve.batch") batches.push_back(&e);
+  }
+  ASSERT_NE(caller, nullptr);
+  ASSERT_EQ(batches.size(), 1u);
+  const obs::TraceEvent& batch = *batches[0];
+  EXPECT_EQ(caller->depth, 0u);
+  EXPECT_EQ(batch.tid, caller->tid);
+  EXPECT_EQ(batch.depth, 1u);
+  EXPECT_GE(batch.ts_us, caller->ts_us);
+  EXPECT_LE(batch.ts_us + batch.dur_us, caller->ts_us + caller->dur_us);
+#endif
 }
 
 // The per-request latency ledger: queue wait + batch + wake is computed from

@@ -265,6 +265,51 @@ TEST_F(TieredServingTest, PredictMsStaysTeacherOnly) {
   EXPECT_EQ(single, batch[0]);
 }
 
+// The prediction cache is shared by PredictMs and the batch path under one
+// (version, fingerprint) key. With the student tier answering batches, the
+// two paths' answers differ, so neither may read what the other stored: each
+// path must return its own uncached answer whatever ran before it.
+class TieredCacheTest : public TieredServingTest {
+ protected:
+  void SetUp() override {
+    TieredServingTest::SetUp();
+    for (const plan::QueryPlan& p : eval_plans_) {
+      teacher_.push_back(estimator_.PredictMs(p));
+    }
+    student_ = Predict(eval_plans_, TierMode::kStudentOnly);
+    size_t differ = 0;
+    for (size_t i = 0; i < eval_plans_.size(); ++i) {
+      if (teacher_[i] != student_[i]) ++differ;
+    }
+    ASSERT_GT(differ, 0u) << "student equals teacher everywhere; the test "
+                             "cannot tell the two paths apart";
+    estimator_.set_tier_mode(TierMode::kStudentOnly);
+    estimator_.set_prediction_cache_capacity(64);
+    ASSERT_LE(eval_plans_.size(), 64u);
+  }
+
+  std::vector<double> teacher_;  // uncached PredictMs
+  std::vector<double> student_;  // uncached kStudentOnly batch
+};
+
+TEST_F(TieredCacheTest, BatchAnswersNeverReachPredictMs) {
+  const std::vector<double> batch = estimator_.PredictBatchMs(Ptrs(eval_plans_));
+  for (size_t i = 0; i < eval_plans_.size(); ++i) {
+    ASSERT_EQ(batch[i], student_[i]) << "plan " << i;
+    EXPECT_EQ(estimator_.PredictMs(eval_plans_[i]), teacher_[i]) << "plan " << i;
+  }
+}
+
+TEST_F(TieredCacheTest, PredictMsAnswersNeverReachTheBatch) {
+  for (size_t i = 0; i < eval_plans_.size(); ++i) {
+    ASSERT_EQ(estimator_.PredictMs(eval_plans_[i]), teacher_[i]) << "plan " << i;
+  }
+  const std::vector<double> batch = estimator_.PredictBatchMs(Ptrs(eval_plans_));
+  for (size_t i = 0; i < eval_plans_.size(); ++i) {
+    EXPECT_EQ(batch[i], student_[i]) << "plan " << i;
+  }
+}
+
 // Retraining or fine-tuning the teacher invalidates the student (it was
 // distilled from weights that no longer exist): the tier must fall back to
 // teacher-only serving until the next Distill.
