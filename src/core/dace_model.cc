@@ -924,6 +924,13 @@ StudentTrainStats DaceEstimator::Distill(
   return stats;
 }
 
+uint64_t DaceEstimator::CacheEpoch() const {
+  return (model_.weights_version() << 5) |
+         (static_cast<uint64_t>(nn::kernel::ActivePrecision()) << 3) |
+         (static_cast<uint64_t>(tier_mode_) << 1) |
+         static_cast<uint64_t>(packed_mode_);
+}
+
 double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
   DACE_CHECK(featurizer_.fitted())
       << "DaceEstimator::PredictMs called before the estimator was trained: "
@@ -931,11 +938,11 @@ double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
   DACE_TRACE_SPAN("predict");
   const uint64_t t0_us = LatencyNowUs();
   const featurize::FeaturizerConfig fc = FeatConfig();
-  const uint64_t version = model_.weights_version();
+  const uint64_t epoch = CacheEpoch();
   // The cache is shared with the batch path, which may store student or
-  // packed f32 answers under the same (version, fingerprint) key. This
-  // teacher-only f64 path reads and writes it only when every entry the
-  // batch path could store is an f64 teacher answer too, so neither path
+  // packed f32 answers under the same epoch. This teacher-only f64 path
+  // reads and writes it only when every entry the batch path could store
+  // under the current epoch is an f64 teacher answer too, so neither path
   // ever returns the other's kind of answer.
   const bool use_cache =
       nn::kernel::ActivePrecision() == nn::kernel::Precision::kF64 &&
@@ -944,7 +951,7 @@ double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
   double ms = 0.0;
   if (use_cache) {
     fp = featurizer_.Fingerprint(plan, fc);
-    if (prediction_cache_->Lookup(version, fp, &ms)) {
+    if (prediction_cache_->Lookup(epoch, fp, &ms)) {
       PredictionsCounter()->Add(1);
       PredictLatencyUsHistogram()->Observe(
           static_cast<double>(LatencyNowUs() - t0_us));
@@ -965,7 +972,7 @@ double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
     DACE_TRACE_SPAN("predict.inverse_transform");
     ms = featurizer_.InverseTransformTime(scaled);
   }
-  if (use_cache) prediction_cache_->Insert(version, fp, ms);
+  if (use_cache) prediction_cache_->Insert(epoch, fp, ms);
   PredictionsCounter()->Add(1);
   PredictLatencyUsHistogram()->Observe(
       static_cast<double>(LatencyNowUs() - t0_us));
@@ -992,7 +999,7 @@ std::vector<double> DaceEstimator::PredictBatchMs(
 
 void DaceEstimator::ServeStudentTier(
     std::span<const plan::QueryPlan* const> plans, const StudentModel& student,
-    uint64_t version, const featurize::FeaturizerConfig& fc, bool cache_on,
+    uint64_t epoch, const featurize::FeaturizerConfig& fc, bool cache_on,
     std::vector<double>* out) const {
   CallScratch& cs = call_scratch_;
   ThreadPool* pool = model_.thread_pool();
@@ -1028,7 +1035,7 @@ void DaceEstimator::ServeStudentTier(
       (*out)[i] = ms;
       // With the cache off Insert is a no-op behind a mutex — skip the lock
       // entirely on this microsecond-scale path.
-      if (cache_on) prediction_cache_->Insert(version, cs.fps[i], ms);
+      if (cache_on) prediction_cache_->Insert(epoch, cs.fps[i], ms);
       cs.served[mi] = 1;
       PredictionsCounter()->Add(1);
       const double elapsed = static_cast<double>(LatencyNowUs() - t0_us);
@@ -1063,7 +1070,7 @@ void DaceEstimator::PredictBatchMsInto(
   DACE_TRACE_SPAN("predict.batch");
   CallScratch& cs = call_scratch_;
   const featurize::FeaturizerConfig fc = FeatConfig();
-  const uint64_t version = model_.weights_version();
+  const uint64_t epoch = CacheEpoch();
   // out[i] depends only on plan i and the weights, so results are identical
   // for every pool size; worker slots only select which scratch to reuse.
   // The prediction cache preserves that: a hit returns the exact double a
@@ -1082,7 +1089,7 @@ void DaceEstimator::PredictBatchMsInto(
       BatchScratch& s = batch_scratch_[static_cast<size_t>(slot)];
       cs.fps[i] = featurizer_.Fingerprint(*plans[i], fc, &s.fscratch);
       double ms = 0.0;
-      if (prediction_cache_->Lookup(version, cs.fps[i], &ms)) {
+      if (prediction_cache_->Lookup(epoch, cs.fps[i], &ms)) {
         (*out)[i] = ms;
         cs.hit[i] = 1;
         PredictionsCounter()->Add(1);
@@ -1102,7 +1109,7 @@ void DaceEstimator::PredictBatchMsInto(
         tier_mode_ == TierMode::kTeacherOnly ? nullptr : model_.student();
     const std::vector<size_t>* to_teacher = &cs.misses;
     if (student != nullptr) {
-      ServeStudentTier(plans, *student, version, fc, cache_on, out);
+      ServeStudentTier(plans, *student, epoch, fc, cache_on, out);
       to_teacher = &cs.escalated;
     } else {
       TierTeacherCounter()->Add(cs.misses.size());
@@ -1117,7 +1124,7 @@ void DaceEstimator::PredictBatchMsInto(
           nn::kernel::ActivePrecision() != nn::kernel::Precision::kF64 &&
           packed_mode_ == PackedMode::kAuto && to_teacher->size() >= 2;
       if (use_packed) {
-        PredictPackedBatch(plans, *to_teacher, cs.fps, version, fc, out);
+        PredictPackedBatch(plans, *to_teacher, cs.fps, epoch, fc, out);
       } else {
         pool->ParallelForWorker(0, to_teacher->size(), [&](int slot,
                                                            size_t mi) {
@@ -1139,7 +1146,7 @@ void DaceEstimator::PredictBatchMsInto(
             DACE_TRACE_SPAN("predict.inverse_transform");
             (*out)[i] = featurizer_.InverseTransformTime(s.preds[0]);
           }
-          prediction_cache_->Insert(version, cs.fps[i], (*out)[i]);
+          prediction_cache_->Insert(epoch, cs.fps[i], (*out)[i]);
           const size_t n = plans[i]->size();
           s.used_nodes = std::max(s.used_nodes, n);
           s.alloc_nodes = std::max(s.alloc_nodes, n);
@@ -1165,7 +1172,7 @@ void DaceEstimator::PredictBatchMsInto(
 void DaceEstimator::PredictPackedBatch(
     std::span<const plan::QueryPlan* const> plans,
     const std::vector<size_t>& misses, const std::vector<uint64_t>& fps,
-    uint64_t version, const featurize::FeaturizerConfig& fc,
+    uint64_t epoch, const featurize::FeaturizerConfig& fc,
     std::vector<double>* out) const {
   ThreadPool* pool = model_.thread_pool();
   if (pack_scratch_.size() < static_cast<size_t>(pool->num_threads())) {
@@ -1212,7 +1219,7 @@ void DaceEstimator::PredictPackedBatch(
       const size_t idx = order[lo + j];
       const double ms = featurizer_.InverseTransformTime(s.roots[j]);
       (*out)[idx] = ms;
-      prediction_cache_->Insert(version, fps[idx], ms);
+      prediction_cache_->Insert(epoch, fps[idx], ms);
     }
     const nn::PackLayout& layout = s.ws.layout;
     s.used_nodes = std::max(s.used_nodes, layout.max_nodes);

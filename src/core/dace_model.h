@@ -394,10 +394,12 @@ class DaceEstimator : public CostEstimator {
   void set_thread_pool(ThreadPool* pool);
 
   // Prediction-cache control: the serving paths (PredictMs/PredictBatchMs)
-  // memoize final predictions keyed by (weights version, plan fingerprint).
-  // PredictMs reads and writes the cache only at kF64 with no student tier
-  // in play (kTeacherOnly, or no student), where every entry either path
-  // stores is the same f64 teacher answer. Capacity 0 disables caching
+  // memoize final predictions keyed by (cache epoch, plan fingerprint); the
+  // epoch folds the weights version together with the precision, tier mode
+  // and packed mode, so switching any of them flushes the cache. PredictMs
+  // reads and writes the cache only at kF64 with no student tier in play
+  // (kTeacherOnly, or no student), where every entry either path stores is
+  // the same f64 teacher answer. Capacity 0 disables caching
   // entirely; resizing resets entries and counters. Default capacity is
   // kDefaultPredictionCacheCapacity.
   void set_prediction_cache_capacity(size_t capacity) {
@@ -530,9 +532,16 @@ class DaceEstimator : public CostEstimator {
   // results/cache inserts exactly as the per-plan path would.
   void PredictPackedBatch(std::span<const plan::QueryPlan* const> plans,
                           const std::vector<size_t>& misses,
-                          const std::vector<uint64_t>& fps, uint64_t version,
+                          const std::vector<uint64_t>& fps, uint64_t epoch,
                           const featurize::FeaturizerConfig& fc,
                           std::vector<double>* out) const;
+
+  // The key the prediction cache is filled under: the weights version plus
+  // every setting that shapes a served answer (precision, tier mode, packed
+  // mode). Changing any of them flushes the cache just as a weight update
+  // does, so an answer is only ever returned under the settings that
+  // produced it.
+  uint64_t CacheEpoch() const;
 
   // Runs the governor over every worker scratch after a batch call.
   void GovernScratch() const;
@@ -544,7 +553,7 @@ class DaceEstimator : public CostEstimator {
   // miss, marks it in call_scratch_.served, and fills `escalated` with the
   // rest. Updates the predict.tier.* counters and serve.tier.* metrics.
   void ServeStudentTier(std::span<const plan::QueryPlan* const> plans,
-                        const StudentModel& student, uint64_t version,
+                        const StudentModel& student, uint64_t epoch,
                         const featurize::FeaturizerConfig& fc, bool cache_on,
                         std::vector<double>* out) const;
 

@@ -16,11 +16,12 @@ namespace dace::core {
 // values are the final, inverse-transformed milliseconds, so a hit skips
 // featurization AND the forward pass.
 //
-// Staleness: every entry is implicitly versioned by the model's
-// weights_version. Lookup/Insert take the caller's current version; when it
-// differs from the version the cache was filled under, the whole cache is
-// flushed first (weight updates invalidate every prediction at once, so
-// per-entry version tags would just waste space).
+// Staleness: every entry is implicitly versioned by the caller's epoch
+// (DaceEstimator::CacheEpoch: the weights version plus the serving settings
+// that shape an answer). Lookup/Insert take the caller's current version;
+// when it differs from the version the cache was filled under, the whole
+// cache is flushed first (weight updates and setting changes invalidate every
+// prediction at once, so per-entry version tags would just waste space).
 //
 // Thread safety: all operations take an internal mutex. PredictBatchMs
 // workers hit the cache concurrently; the critical sections are a hash
@@ -76,7 +77,7 @@ class PredictionCache {
 
   mutable std::mutex mu_;
   size_t capacity_;
-  uint64_t version_ = 0;  // weights_version the current contents belong to
+  uint64_t version_ = 0;  // epoch the current contents belong to
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
   obs::Counter hits_;

@@ -136,13 +136,6 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
   std::atomic<int> bad_outcomes{0};
   std::atomic<bool> stop_swapper{false};
 
-  // Backpressure must happen on every schedule. A free caller prices its
-  // own batch at once, so when the clients barely overlap (e.g. a CPU-starved
-  // host running them nearly one at a time) no queue ever fills. tenant-0's
-  // batching therefore starts paused: its two queue slots fill, its next
-  // caller is refused, and it resumes at the first refusal.
-  EstimatorServiceTestPeer::PauseBatching(&service, TenantName(0));
-
   std::thread swapper([&] {
     const std::string* paths[2] = {&tuned_path_, &base_path_};
     for (int i = 0; !stop_swapper.load(std::memory_order_relaxed); ++i) {
@@ -180,10 +173,6 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
       }
     });
   }
-  while (unavailable.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EstimatorServiceTestPeer::ResumeBatching(&service, TenantName(0));
   for (std::thread& c : clients) c.join();
   stop_swapper.store(true, std::memory_order_relaxed);
   swapper.join();
@@ -202,9 +191,8 @@ TEST_F(ServeStressTest, SoakWithConcurrentSwaps) {
   EXPECT_EQ((after.ok - before.ok) + (after.rejected - before.rejected) +
                 (after.deadline_missed - before.deadline_missed),
             after.issued - before.issued);
-  // The tiny queue must have produced real backpressure (at least the
-  // refusal the paused start forces), and admitted traffic must still be
-  // getting through. (No stronger ratio is asserted:
+  // The tiny queue must have produced real backpressure, and admitted
+  // traffic must still be getting through. (No stronger ratio is asserted:
   // under TSan a batch forward is slow, and rejected closed-loop clients
   // retry immediately, so the OK:rejected mix is schedule-dependent.)
   EXPECT_GT(after.rejected - before.rejected, 0u);

@@ -266,7 +266,7 @@ TEST_F(TieredServingTest, PredictMsStaysTeacherOnly) {
 }
 
 // The prediction cache is shared by PredictMs and the batch path under one
-// (version, fingerprint) key. With the student tier answering batches, the
+// (epoch, fingerprint) key. With the student tier answering batches, the
 // two paths' answers differ, so neither may read what the other stored: each
 // path must return its own uncached answer whatever ran before it.
 class TieredCacheTest : public TieredServingTest {
@@ -307,6 +307,32 @@ TEST_F(TieredCacheTest, PredictMsAnswersNeverReachTheBatch) {
   const std::vector<double> batch = estimator_.PredictBatchMs(Ptrs(eval_plans_));
   for (size_t i = 0; i < eval_plans_.size(); ++i) {
     EXPECT_EQ(batch[i], student_[i]) << "plan " << i;
+  }
+}
+
+// Switching the tier mode or the precision changes what the batch path
+// answers, so it must flush what the cache holds: after a kStudentOnly batch
+// or a packed f32 batch, teacher-only f64 serving returns teacher answers.
+TEST_F(TieredCacheTest, TierModeSwitchFlushesStudentAnswers) {
+  const std::vector<double> batch = estimator_.PredictBatchMs(Ptrs(eval_plans_));
+  ASSERT_EQ(batch, student_);
+  estimator_.set_tier_mode(TierMode::kTeacherOnly);
+  for (size_t i = 0; i < eval_plans_.size(); ++i) {
+    EXPECT_EQ(estimator_.PredictMs(eval_plans_[i]), teacher_[i]) << "plan " << i;
+  }
+  EXPECT_EQ(estimator_.PredictBatchMs(Ptrs(eval_plans_)), teacher_);
+}
+
+TEST_F(TieredCacheTest, PrecisionSwitchFlushesPackedAnswers) {
+  estimator_.set_tier_mode(TierMode::kTeacherOnly);
+  nn::kernel::SetPrecision(nn::kernel::Precision::kF32);
+  const std::vector<double> packed =
+      estimator_.PredictBatchMs(Ptrs(eval_plans_));
+  ASSERT_NE(packed, teacher_) << "packed f32 equals f64 everywhere; the test "
+                                 "cannot tell the two precisions apart";
+  nn::kernel::SetPrecision(nn::kernel::Precision::kF64);
+  for (size_t i = 0; i < eval_plans_.size(); ++i) {
+    EXPECT_EQ(estimator_.PredictMs(eval_plans_[i]), teacher_[i]) << "plan " << i;
   }
 }
 
