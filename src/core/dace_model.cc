@@ -939,11 +939,8 @@ double DaceEstimator::PredictMs(const plan::QueryPlan& plan) const {
   const uint64_t t0_us = LatencyNowUs();
   const featurize::FeaturizerConfig fc = FeatConfig();
   const uint64_t epoch = CacheEpoch();
-  // The cache is shared with the batch path, which may store student or
-  // packed f32 answers under the same epoch. This teacher-only f64 path
-  // reads and writes it only when every entry the batch path could store
-  // under the current epoch is an f64 teacher answer too, so neither path
-  // ever returns the other's kind of answer.
+  // The batch path may store student or packed f32 answers under the same
+  // epoch; this teacher-only f64 path touches the cache only where it cannot.
   const bool use_cache =
       nn::kernel::ActivePrecision() == nn::kernel::Precision::kF64 &&
       (tier_mode_ == TierMode::kTeacherOnly || model_.student() == nullptr);

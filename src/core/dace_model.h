@@ -394,14 +394,11 @@ class DaceEstimator : public CostEstimator {
   void set_thread_pool(ThreadPool* pool);
 
   // Prediction-cache control: the serving paths (PredictMs/PredictBatchMs)
-  // memoize final predictions keyed by (cache epoch, plan fingerprint); the
-  // epoch folds the weights version together with the precision, tier mode
-  // and packed mode, so switching any of them flushes the cache. PredictMs
-  // reads and writes the cache only at kF64 with no student tier in play
-  // (kTeacherOnly, or no student), where every entry either path stores is
-  // the same f64 teacher answer. Capacity 0 disables caching
-  // entirely; resizing resets entries and counters. Default capacity is
-  // kDefaultPredictionCacheCapacity.
+  // memoize final predictions keyed by (CacheEpoch(), plan fingerprint).
+  // PredictMs uses the cache only where both paths store the same f64
+  // teacher answer (kF64, and kTeacherOnly or no student). Capacity 0
+  // disables caching entirely; resizing resets entries and counters.
+  // Default capacity is kDefaultPredictionCacheCapacity.
   void set_prediction_cache_capacity(size_t capacity) {
     prediction_cache_->Reset(capacity);
   }

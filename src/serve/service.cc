@@ -1,9 +1,11 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,11 +110,9 @@ class EstimatorService::TenantQueue {
       : tenant_(std::move(tenant)), registry_(registry), config_(config) {}
 
   void Shutdown() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+    NotifyLocked();
   }
 
   StatusOr<double> Submit(const plan::QueryPlan& plan, int64_t deadline_us) {
@@ -144,11 +144,9 @@ class EstimatorService::TenantQueue {
   }
 
   void SetPaused(bool paused) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      paused_ = paused;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    paused_ = paused;
+    NotifyLocked();
   }
 
   size_t Pending() {
@@ -175,6 +173,8 @@ class EstimatorService::TenantQueue {
       // Shutdown overrides a pause: admitted requests still complete.
       if (!req->claimed && !busy_ && (stop_ || !paused_)) {
         LeadBatch(lock);
+      } else if (PollForChange(lock)) {
+        continue;  // re-check: a result, the lead, a pause or a shutdown
       } else if (req->has_deadline && !req->claimed) {
         cv_.wait_until(lock, req->deadline);
         if (!req->done && !req->claimed && Clock::now() >= req->deadline) {
@@ -194,6 +194,29 @@ class EstimatorService::TenantQueue {
       return Status::DeadlineExceeded("batch completed after the deadline");
     }
     return Status::OK();
+  }
+
+  // Bumps changes_ and wakes every waiter to re-check. Call with mu_ held.
+  void NotifyLocked() {
+    changes_.fetch_add(1, std::memory_order_release);
+    cv_.notify_all();
+  }
+
+  // A batch of cache hits or student answers takes a few microseconds, so a
+  // waiter first polls, lock released, for up to 20 us for the next
+  // NotifyLocked rather than pay a sleep and wake-up whose cost varies from
+  // wake to wake. Returns with `lock` held, true if the state changed; if
+  // not, no change can slip in before cv_ releases mu_.
+  bool PollForChange(std::unique_lock<std::mutex>& lock) {
+    const uint64_t seen = changes_.load(std::memory_order_relaxed);
+    lock.unlock();
+    const auto until = Clock::now() + std::chrono::microseconds(20);
+    while (changes_.load(std::memory_order_acquire) == seen &&
+           Clock::now() < until) {
+      std::this_thread::yield();  // to a leader, if it waits for this core
+    }
+    lock.lock();
+    return changes_.load(std::memory_order_relaxed) != seen;
   }
 
   // Claims the pending front (up to max_batch) under `lock`, prices it with
@@ -222,7 +245,7 @@ class EstimatorService::TenantQueue {
       }
     }
     pending_.erase(pending_.begin(), split);
-    if (batch_.size() < n) cv_.notify_all();  // some expired
+    if (batch_.size() < n) NotifyLocked();  // some expired
     lock.unlock();
 
     ServeMetrics* m = Metrics();
@@ -258,7 +281,7 @@ class EstimatorService::TenantQueue {
     busy_ = false;
     // Wakes the batch's callers and hands the lead for the next batch to a
     // caller still queued.
-    cv_.notify_all();
+    NotifyLocked();
   }
 
   const std::string tenant_;
@@ -267,6 +290,7 @@ class EstimatorService::TenantQueue {
 
   std::mutex mu_;
   std::condition_variable cv_;  // callers wait for a result or the lead
+  std::atomic<uint64_t> changes_{0};  // NotifyLocked calls, see PollForChange
   std::deque<Request*> pending_;
   bool stop_ = false;
   bool paused_ = false;  // test seam, see EstimatorService::SetBatchingPaused

@@ -50,10 +50,10 @@ struct TrackedEstimate {
 // everything pending (up to max_batch, oldest first) and prices it on its
 // own thread with one PredictBatchMs call (which fans out across the
 // process thread pool). Requests that arrive while a batch is in flight
-// wait and coalesce into the next one, led by one of their own callers, so
-// DACE's batched-inference property pays off across callers under load
-// while an idle caller pays no thread handoff at all. At most one batch per
-// tenant is in flight.
+// wait (polling for up to 20 us, then asleep) and coalesce into the next
+// one, led by one of their own callers, so DACE's batched-inference
+// property pays off across callers under load while an idle caller pays no
+// thread handoff at all. At most one batch per tenant is in flight.
 //
 // Results are bit-identical to direct PredictMs / PredictBatchMs calls on
 // the snapshot: coalescing only changes who computes, never what is
